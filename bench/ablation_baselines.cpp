@@ -2,15 +2,12 @@
 // comes from its structure? Compares, on the same golden data and split:
 //   1. the proposed three-subnet model (learned temporal fusion + bump
 //      distance features),
-//   2. an XGBoost-style GBRT over hand-crafted per-tile features (the
-//      [10][12][14][15] family),
-//   3. a plain map-to-map U-Net fed the *raw* per-tile temporal statistics
+//   2. a plain map-to-map U-Net fed the *raw* per-tile temporal statistics
 //      (max / mean / mu+3sigma) without the fusion subnet or distance input
 //      (the [11]-style direct image-to-image approach).
 #include <cmath>
 #include <cstdio>
 
-#include "baseline/gbrt_noise.hpp"
 #include "bench_common.hpp"
 #include "nn/optimizer.hpp"
 #include "util/timer.hpp"
@@ -20,7 +17,7 @@ namespace {
 using namespace pdnn;
 
 /// Raw temporal-statistics tensor [1, 3, m, n] for one sample (no learning
-/// before the reduction — this is exactly what ablation 3 consumes).
+/// before the reduction — this is exactly what ablation 2 consumes).
 nn::Tensor stats_tensor(const core::RawSample& sample, float scale) {
   const int rows = sample.truth.rows();
   const int cols = sample.truth.cols();
@@ -54,10 +51,9 @@ int main(int argc, char** argv) {
   using namespace pdnn::bench;
 
   util::ArgParser args("ablation_baselines",
-                       "Ablation: proposed vs GBRT vs plain stats-map U-Net");
+                       "Ablation: proposed vs plain stats-map U-Net");
   add_common_flags(args);
   args.add_flag("design", "D1", "design to ablate on");
-  args.add_flag("gbrt-trees", "120", "GBRT ensemble size");
   if (!args.parse(argc, argv)) return 0;
   const ExperimentOptions options = options_from_args(args);
   RunMetrics metrics("ablation_baselines", args);
@@ -68,25 +64,7 @@ int main(int argc, char** argv) {
   const DesignExperiment ex = run_design_experiment(base, options);
   metrics.add_experiment(ex);
 
-  // --- 2. GBRT over hand-crafted features ----------------------------------
-  baseline::GbrtOptions gopt;
-  gopt.trees = args.get_int("gbrt-trees");
-  baseline::GbrtNoisePredictor gbrt(*ex.grid, gopt);
-  const double gbrt_train_s = gbrt.train(ex.raw, ex.data.split.train);
-  eval::MapEvaluator gbrt_eval(ex.spec.vdd);
-  double gbrt_seconds = 0.0;
-  for (int idx : ex.data.split.test) {
-    const int ri = ex.data.samples[static_cast<std::size_t>(idx)].raw_index;
-    double s = 0.0;
-    const util::MapF pred =
-        gbrt.predict(ex.raw.samples[static_cast<std::size_t>(ri)], &s);
-    gbrt_seconds += s;
-    gbrt_eval.add(pred, ex.raw.samples[static_cast<std::size_t>(ri)].truth);
-  }
-  gbrt_seconds /= static_cast<double>(ex.data.split.test.size());
-  metrics.lap("gbrt");
-
-  // --- 3. Plain stats-map U-Net (no fusion subnet, no distance) ------------
+  // --- 2. Plain stats-map U-Net (no fusion subnet, no distance) ------------
   util::Rng rng(7);
   core::UNet2 plain(/*in=*/3, /*channels=*/16, /*out=*/1, rng);
   std::vector<nn::Tensor> inputs;
@@ -132,16 +110,8 @@ int main(int argc, char** argv) {
   metrics.lap("plain-unet");
 
   // --- Report ---------------------------------------------------------------
-  const auto ga = gbrt_eval.accuracy();
   const auto pa = plain_eval.accuracy();
   if (metrics.enabled()) {
-    obs::JsonValue g = obs::JsonValue::object();
-    g.set("design", "gbrt-baseline");
-    g.set("train_seconds", gbrt_train_s);
-    g.set("predict_seconds_per_vector", gbrt_seconds);
-    g.set("mean_ae_mv", ga.mean_ae * 1e3);
-    g.set("mean_re", ga.mean_re);
-    metrics.add_design(std::move(g));
     obs::JsonValue p = obs::JsonValue::object();
     p.set("design", "plain-unet-baseline");
     p.set("train_seconds", plain_train_s);
@@ -150,23 +120,20 @@ int main(int argc, char** argv) {
     p.set("mean_re", pa.mean_re);
     metrics.add_design(std::move(p));
   }
-  std::printf("Ablation on %s (scale=%s, %d vectors, %d epochs; GBRT train "
-              "%.1fs, plain U-Net train %.1fs)\n",
+  std::printf("Ablation on %s (scale=%s, %d vectors, %d epochs; plain U-Net "
+              "train %.1fs)\n",
               ex.spec.name.c_str(), pdn::to_string(options.scale).c_str(),
-              options.num_vectors, options.epochs, gbrt_train_s, plain_train_s);
+              options.num_vectors, options.epochs, plain_train_s);
   std::printf("%-26s %10s %9s %8s %12s\n", "Model", "MAE(mV)", "MeanRE", "AUC",
               "runtime(s)");
   std::printf("%-26s %10.2f %8s %8.3f %12.4f\n", "Proposed (full)",
               ex.accuracy.mean_ae * 1e3, pct(ex.accuracy.mean_re).c_str(),
               ex.hotspots.auc, ex.proposed_seconds_per_vector);
-  std::printf("%-26s %10.2f %8s %8.3f %12.4f\n", "GBRT [10,12,14,15]-style",
-              ga.mean_ae * 1e3, pct(ga.mean_re).c_str(),
-              gbrt_eval.hotspots().auc, gbrt_seconds);
   std::printf("%-26s %10.2f %8s %8.3f %12.4f\n", "Plain stats U-Net [11]-ish",
               pa.mean_ae * 1e3, pct(pa.mean_re).c_str(),
               plain_eval.hotspots().auc, plain_seconds);
   std::printf("\nExpected shape: the full framework (learned fusion + distance "
-              "input) matches or beats both ablations in MAE/RE.\n");
+              "input) matches or beats the ablation in MAE/RE.\n");
   metrics.finish();
   return 0;
 }

@@ -141,9 +141,9 @@ void add_serve_flags(util::ArgParser& args) {
   args.add_flag("serve-ramp", "4",
                 "open-loop ramp levels (offered load doubles per level)");
   args.add_flag("serve-swap-tolerance-mv", "0",
-                "per-node canary tolerance in mV for hot-swapping a "
-                "candidate whose weight dtype differs from the incumbent's "
-                "(fp32 vs int8/fp16); 0 refuses cross-dtype canaries");
+                "per-node canary tolerance in mV for every hot swap (0: "
+                "exact bytes, and a swap to another weight dtype such as "
+                "int8 is refused)");
 }
 
 ServeFlags serve_flags_from_args(const util::ArgParser& args) {

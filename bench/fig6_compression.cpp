@@ -36,13 +36,7 @@ int main(int argc, char** argv) {
   const bool uniform = args.get("strategy") == "uniform";
   metrics.set("strategy", uniform ? "uniform" : "algorithm1");
 
-  // Parse rate list.
-  std::vector<double> rates;
-  {
-    std::stringstream ss(args.get("rates"));
-    std::string item;
-    while (std::getline(ss, item, ',')) rates.push_back(std::stod(item));
-  }
+  const std::vector<double> rates = args.get_double_list("rates");
   std::vector<std::string> designs;
   {
     std::stringstream ss(args.get("designs"));

@@ -1,6 +1,6 @@
-// google-benchmark micro suite for the substrate (ablation support,
-// DESIGN.md §6.3): sparse solver comparison, CNN kernel throughput,
-// Algorithm 1 cost, and the golden engine's per-step cost.
+// google-benchmark micro suite for the substrate (DESIGN.md §3): band
+// Cholesky factor/solve cost, CNN kernel throughput, Algorithm 1 cost, and
+// the golden engine's per-step cost.
 #include <benchmark/benchmark.h>
 
 #include "core/dataset.hpp"
@@ -15,8 +15,6 @@
 #include "pdn/power_grid.hpp"
 #include "sim/transient.hpp"
 #include "sparse/cholesky.hpp"
-#include "sparse/pcg.hpp"
-#include "sparse/random_walk.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "vectors/generator.hpp"
@@ -75,45 +73,6 @@ void BM_CholeskySolve(benchmark::State& state) {
   state.SetLabel(std::to_string(a.rows()) + " nodes");
 }
 BENCHMARK(BM_CholeskySolve)->Arg(32)->Arg(64)->Arg(96);
-
-void BM_PcgSolve(benchmark::State& state) {
-  const auto a = grid_matrix(static_cast<int>(state.range(0)));
-  const bool ic0 = state.range(1) != 0;
-  std::unique_ptr<sparse::Preconditioner> m;
-  if (ic0) {
-    m = std::make_unique<sparse::Ic0Preconditioner>(a);
-  } else {
-    m = std::make_unique<sparse::JacobiPreconditioner>(a);
-  }
-  const auto b = random_rhs(a.rows());
-  for (auto _ : state) {
-    std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
-    const auto stats = sparse::pcg_solve(a, *m, b, x, 1e-9, 5000);
-    benchmark::DoNotOptimize(stats.iterations);
-  }
-  state.SetLabel(std::string(ic0 ? "ic0" : "jacobi") + ", " +
-                 std::to_string(a.rows()) + " nodes");
-}
-BENCHMARK(BM_PcgSolve)
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
-
-void BM_RandomWalkNode(benchmark::State& state) {
-  // Historical baseline [Qian et al. 2006]: per-node Monte-Carlo solve.
-  const auto a = grid_matrix(static_cast<int>(state.range(0)));
-  const sparse::RandomWalkSolver walker(a);
-  const auto b = random_rhs(a.rows());
-  util::Rng rng(11);
-  sparse::RandomWalkOptions opt;
-  opt.walks = 500;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(walker.solve_node(b, a.rows() / 2, rng, opt));
-  }
-  state.SetLabel(std::to_string(a.rows()) + " nodes, 500 walks");
-}
-BENCHMARK(BM_RandomWalkNode)->Arg(32)->Arg(64);
 
 void BM_Conv2dForward(benchmark::State& state) {
   const int hw = static_cast<int>(state.range(0));
@@ -431,10 +390,6 @@ void BM_TransientSimBatch(benchmark::State& state) {
   state.counters["chol_batch_width_max"] =
       static_cast<double>(obs::counter_reading(
           before, after, obs::Counter::kCholBatchWidthMax));
-  state.counters["pcg_iterations"] =
-      static_cast<double>(obs::counter_reading(
-          before, after, obs::Counter::kPcgIterations)) /
-      iters;
   state.SetItemsProcessed(state.iterations() * batch * kSteps);
   state.SetLabel("D3 small (" + std::to_string(grid->num_nodes()) +
                  " nodes), batch " + std::to_string(batch));

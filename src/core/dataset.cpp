@@ -37,7 +37,9 @@ std::uint64_t dataset_cache_key(const pdn::DesignSpec& spec,
   h.add(spec.decap_per_node).add(spec.vdd);
   h.add(spec.num_loads).add(spec.load_clusters).add(spec.cluster_fraction);
   h.add(spec.unit_current).add(spec.target_mean_noise).add(spec.seed);
-  h.add(sim_options.dt).add(static_cast<std::int32_t>(sim_options.solver));
+  // The int32 0 is where the retired solver-kind field hashed (0 was band
+  // Cholesky, the only engine); folding it in keeps existing stores valid.
+  h.add(sim_options.dt).add(std::int32_t{0});
   h.add(gen_params.num_steps).add(gen_params.dt);
   h.add(gen_params.min_bursts).add(gen_params.max_bursts);
   h.add(gen_params.base_low).add(gen_params.base_high);

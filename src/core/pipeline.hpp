@@ -21,7 +21,7 @@
 // request outputs are bit-identical at any batch width (conv lowers and
 // multiplies each batch sample independently — locked in by the Serve tests).
 //
-// Concurrency contract (same discipline as sparse::LinearSolver::solve): all
+// Concurrency contract (same discipline as sim::TransientSimulator): all
 // methods are const, the shared state (grid, compressors, model weights, the
 // cached distance reduction) is read-only after construction, and per-call
 // scratch lives in the returned objects or on the stack — concurrent calls

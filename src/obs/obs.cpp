@@ -155,9 +155,6 @@ constexpr std::array<CounterSpec, kCounterCount> kCounterSpecs = {{
     {"pool.chunks", false},
     {"pool.chunk_nanos", false},
     {"pool.chunks_per_run_max", true},
-    {"pcg.solves", false},
-    {"pcg.iterations", false},
-    {"amg.vcycles", false},
     {"cholesky.solves", false},
     {"cholesky.solve_columns", false},
     {"cholesky.batch_width_max", true},

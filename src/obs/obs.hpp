@@ -10,7 +10,7 @@
 //   * TraceSpan — scoped spans recorded into per-thread ring buffers and
 //     exported as Chrome trace-event JSON (Perfetto / chrome://tracing).
 //     Enabled via --trace FILE on the bench harnesses or PDNN_TRACE=FILE.
-//   * Counter  — named integer counters and max-gauges (PCG/AMG iterations,
+//   * Counter  — named integer counters and max-gauges (Cholesky solves,
 //     solve batch widths, GEMM FLOPs, im2col scratch bytes, thread-pool
 //     work). Integer adds and maxes are associative and commutative, so the
 //     aggregated values are deterministic for any thread count.
@@ -41,9 +41,6 @@ enum class Counter : int {
   kPoolChunks,          ///< chunks submitted across all runs (queue volume)
   kPoolChunkNanos,      ///< summed wall time inside chunk bodies (latency)
   kPoolChunksPerRunMax, ///< largest single-run chunk count (queue depth)
-  kPcgSolves,           ///< pcg_solve calls
-  kPcgIterations,       ///< summed PCG iterations
-  kAmgVcycles,          ///< AMG V-cycles applied
   kCholSolves,          ///< band-Cholesky solve_multi calls
   kCholSolveColumns,    ///< right-hand sides solved (batch widths summed)
   kCholBatchWidthMax,   ///< widest multi-RHS block
@@ -80,7 +77,7 @@ enum class Counter : int {
 
 constexpr int kCounterCount = static_cast<int>(Counter::kCount);
 
-/// Stable dotted name ("pcg.iterations") used in metrics JSON.
+/// Stable dotted name ("gemm.flops") used in metrics JSON.
 const char* counter_name(Counter c);
 
 /// True for high-water-mark gauges (reported as values, not deltas).
@@ -141,7 +138,7 @@ CounterSnapshot snapshot_counters();
 std::int64_t counter_reading(const CounterSnapshot& before,
                              const CounterSnapshot& after, Counter c);
 
-/// {"pcg.iterations": 1234, ...} over a before/after window, skipping
+/// {"gemm.flops": 1234, ...} over a before/after window, skipping
 /// counters that stayed zero.
 JsonValue counters_json(const CounterSnapshot& before,
                         const CounterSnapshot& after);

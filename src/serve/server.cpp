@@ -48,22 +48,22 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// Canary comparison. With tolerance <= 0 (same-dtype swap) the maps must be
-/// byte-identical. With a positive tolerance (cross-dtype swap) every node
-/// must agree within `tolerance` volts; the largest |a - b| seen is folded
-/// into *max_diff either way the comparison resolves. A NaN anywhere fails.
+/// Canary comparison. With tolerance <= 0 the maps must be byte-identical;
+/// with a positive tolerance every node must agree within `tolerance`
+/// volts. The largest |a - b| seen is folded into *max_diff either way the
+/// comparison resolves. A NaN anywhere fails.
 bool maps_close(const util::MapF& a, const util::MapF& b, double tolerance,
                 double* max_diff) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  if (tolerance <= 0.0) {
-    return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-  }
   bool within = true;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const double d = std::fabs(static_cast<double>(a.data()[i]) -
                                static_cast<double>(b.data()[i]));
     if (d > *max_diff) *max_diff = d;
     if (!(d <= tolerance)) within = false;  // NaN compares false -> fail
+  }
+  if (tolerance <= 0.0) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
   }
   return within;
 }
@@ -118,7 +118,6 @@ struct NoiseServer::Impl {
     std::shared_ptr<DesignEntry> candidate;  // non-null while canarying
     SwapReport swap;
     double canary_accum = 0.0;   ///< deterministic fraction accumulator
-    double swap_tolerance = 0.0; ///< volts; > 0 only for cross-dtype swaps
     std::int64_t swap_seq = 0;   ///< invalidates stale canary results
 
     // Telemetry-only (accrues while obs::enabled()).
@@ -259,13 +258,11 @@ struct NoiseServer::Impl {
       DesignSlot* slot = width > 0 ? batch.front().slot : nullptr;
       std::shared_ptr<DesignEntry> candidate;
       std::int64_t swap_seq = 0;
-      double swap_tolerance = 0.0;
       std::vector<char> canary_mask;
       if (slot != nullptr && slot->candidate &&
           batch.front().entry == slot->active) {
         candidate = slot->candidate;
         swap_seq = slot->swap_seq;
-        swap_tolerance = slot->swap_tolerance;
         canary_mask.assign(static_cast<std::size_t>(width), 0);
         int pending = options_.canary_requests - slot->swap.canaried;
         for (int i = 0; i < width && pending > 0; ++i) {
@@ -358,9 +355,9 @@ struct NoiseServer::Impl {
       }
 
       // Canary comparisons, after the clients have their responses: run
-      // the candidate pipeline on the same prepared inputs and memcmp
-      // against the incumbent bytes. A candidate that throws is treated as
-      // a divergence — it must not be promoted.
+      // the candidate pipeline on the same prepared inputs and compare
+      // against the incumbent map under the swap tolerance. A candidate
+      // that throws is treated as a divergence — it must not be promoted.
       int compared = 0;
       int diverged = 0;
       double max_diff = 0.0;
@@ -375,7 +372,7 @@ struct NoiseServer::Impl {
                 batch[static_cast<std::size_t>(i)].prepared);
             match =
                 maps_close(canary_map, canary_ref[static_cast<std::size_t>(i)],
-                           swap_tolerance, &max_diff);
+                           options_.swap_tolerance_volts, &max_diff);
           } catch (...) {
             match = false;
           }
@@ -602,8 +599,7 @@ SwapReport NoiseServer::swap_artifact(DesignId design,
   // A candidate storing weights in a different dtype than the incumbent
   // cannot reproduce the incumbent's bytes; canarying it needs an explicit
   // accuracy budget.
-  const bool cross_dtype = incoming_dtype != slot->active->artifact.dtype;
-  if (!direct && cross_dtype) {
+  if (!direct && incoming_dtype != slot->active->artifact.dtype) {
     PDN_CHECK(
         options_.swap_tolerance_volts > 0.0,
         "NoiseServer::swap_artifact: candidate dtype (" +
@@ -616,8 +612,6 @@ SwapReport NoiseServer::swap_artifact(DesignId design,
   }
   ++slot->swap_seq;  // invalidates canary verdicts for a superseded swap
   slot->canary_accum = 0.0;
-  slot->swap_tolerance =
-      cross_dtype ? options_.swap_tolerance_volts : 0.0;
   slot->swap = SwapReport{};
   obs::counter_add(obs::Counter::kServeSwapsBegun, 1);
   obs::flight_record(obs::FlightEventKind::kSwap, 0, slot->id.value,

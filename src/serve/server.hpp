@@ -31,25 +31,24 @@
 // Artifact hot-swap: swap_artifact(design, path) loads a new PDNB artifact
 // and installs it as a *candidate* for that design. While canarying, a
 // configurable fraction of the design's traffic is additionally run through
-// the candidate pipeline and the output bytes are memcmp-compared against
-// the incumbent's on identical prepared inputs; the incumbent keeps
-// answering every request. After `canary_requests` clean comparisons the
+// the candidate pipeline and its worst-case map is compared against the
+// incumbent's on identical prepared inputs; the incumbent keeps answering
+// every request. One rule judges every canaried swap: each node must agree
+// within ServeOptions::swap_tolerance_volts, where 0 (the default) means the
+// bytes must match exactly. After `canary_requests` clean comparisons the
 // candidate is atomically promoted (new requests prepare and infer against
-// it); one divergence rolls the candidate back and the SwapReport records
-// the divergence count. With canarying disabled (fraction <= 0 or target
-// <= 0) the swap promotes immediately. In-flight requests always complete
-// against the artifact they were prepared with, so a swap never drops,
-// duplicates, or re-answers a request.
+// it); one divergence rolls the candidate back. The SwapReport records the
+// divergence count and the largest per-node divergence seen, so a rolled
+// back retrained model shows the tolerance it would have needed. With
+// canarying disabled (fraction <= 0 or target <= 0) the swap promotes
+// immediately. In-flight requests always complete against the artifact they
+// were prepared with, so a swap never drops, duplicates, or re-answers a
+// request.
 //
-// Cross-dtype swaps: when the candidate's weight storage differs from the
-// incumbent's (e.g. promoting an int8 PDNB v2 over the fp32 incumbent),
-// byte-identical outputs are impossible by construction, so the canary
-// compares worst-case maps under an explicit absolute tolerance —
-// ServeOptions::swap_tolerance_volts — instead of memcmp, and the
-// SwapReport records the largest per-node divergence seen. Starting a
-// canaried cross-dtype swap with the tolerance unset (<= 0) throws: the
-// operator must state the accuracy budget, it is never inferred. Same-dtype
-// swaps keep the exact byte comparison.
+// A candidate whose weight storage differs from the incumbent's (e.g. an
+// int8 PDNB v2 over the fp32 incumbent) can never reproduce its bytes, so
+// starting a canaried cross-dtype swap at tolerance 0 throws: the operator
+// must state the accuracy budget, it is never inferred.
 //
 // Robustness:
 //   * Backpressure  — per-shard bounded queues; when a design's shard is
@@ -129,10 +128,10 @@ struct ServeOptions {
   /// Clean canary comparisons required to promote a candidate; <= 0 (or
   /// canary_fraction <= 0) promotes immediately on swap_artifact().
   int canary_requests = 4;
-  /// Absolute per-node noise-map tolerance (volts) for canarying a swap
-  /// whose candidate stores weights in a different dtype than the incumbent
-  /// (fp32 vs int8/fp16). <= 0 means cross-dtype canaries are refused;
-  /// same-dtype swaps always compare exact bytes regardless.
+  /// Absolute per-node noise-map tolerance (volts) every canaried swap is
+  /// judged by. <= 0 means the candidate's maps must match the incumbent's
+  /// bytes exactly, and a canaried swap to a different weight dtype (fp32
+  /// vs int8/fp16) is refused.
   double swap_tolerance_volts = 0.0;
 };
 
@@ -183,8 +182,7 @@ struct SwapReport {
   int canaried = 0;  ///< canary comparisons executed
   int diverged = 0;  ///< comparisons that failed (bytes or tolerance)
   /// Largest per-node |candidate - incumbent| (volts) across the swap's
-  /// canary comparisons. Only populated for cross-dtype swaps (exact swaps
-  /// compare bytes and report 0).
+  /// canary comparisons.
   double max_divergence_volts = 0.0;
 };
 

@@ -62,10 +62,8 @@ TransientSimulator::TransientSimulator(const pdn::PowerGrid& grid,
     dc.push_back({grid.bumps()[i].node, grid.bumps()[i].node, bump_g_dc_[i]});
   }
 
-  solver_ = sparse::LinearSolver::create(options.solver);
-  solver_->prepare(sparse::CsrMatrix::from_triplets(n, all));
-  dc_solver_ = sparse::LinearSolver::create(options.solver);
-  dc_solver_->prepare(sparse::CsrMatrix::from_triplets(n, dc));
+  solver_.factor(sparse::CsrMatrix::from_triplets(n, all));
+  dc_solver_.factor(sparse::CsrMatrix::from_triplets(n, dc));
 
   prepare_seconds_ = timer.lap("sim.prepare");
 }
@@ -91,7 +89,7 @@ TransientResult TransientSimulator::simulate(
   std::vector<double> rhs =
       dc_rhs([&](int j) -> double { return trace.at(0, j); });
   std::vector<double> v(static_cast<std::size_t>(n), vdd);
-  dc_solver_->solve(rhs, v);
+  dc_solver_.solve(rhs, v);
 
   // Initial inductor currents from the DC point.
   std::vector<double> bump_i(bumps.size());
@@ -127,8 +125,7 @@ TransientResult TransientSimulator::simulate(
       rhs[static_cast<std::size_t>(loads[static_cast<std::size_t>(j)])] -=
           step[j];
     }
-    // v_next keeps the previous solution: warm start for iterative solvers.
-    solver_->solve(rhs, v_next);
+    solver_.solve(rhs, v_next);
     // Inductor current update from the backward-Euler companion model:
     // i_k = g * (Vdd - v_k) + g * (L/dt) * i_{k-1}.
     for (std::size_t i = 0; i < bumps.size(); ++i) {
@@ -184,7 +181,7 @@ std::vector<TransientResult> TransientSimulator::simulate_batch(
     std::copy(col.begin(), col.end(),
               rhs.begin() + static_cast<std::size_t>(c) * ns);
   }
-  dc_solver_->solve_multi(rhs.data(), v.data(), batch);
+  dc_solver_.solve_multi(rhs.data(), v.data(), batch);
 
   // Initial inductor currents from each column's DC point.
   std::vector<double> bump_i(nb * static_cast<std::size_t>(batch));
@@ -215,8 +212,7 @@ std::vector<TransientResult> TransientSimulator::simulate_batch(
   record(v);
 
   // Lockstep backward-Euler stepping: batched RHS assembly, one multi-RHS
-  // solve per step. v/v_next swap exactly like the serial loop so iterative
-  // solvers see the same warm starts per column.
+  // solve per step.
   std::vector<double> v_next = v;
   for (int k = 1; k < steps; ++k) {
     for (int c = 0; c < batch; ++c) {
@@ -237,7 +233,7 @@ std::vector<TransientResult> TransientSimulator::simulate_batch(
             step[j];
       }
     }
-    solver_->solve_multi(rhs.data(), v_next.data(), batch);
+    solver_.solve_multi(rhs.data(), v_next.data(), batch);
     for (int c = 0; c < batch; ++c) {
       const double* vc = v_next.data() + static_cast<std::size_t>(c) * ns;
       double* ic = bump_i.data() + static_cast<std::size_t>(c) * nb;
@@ -293,7 +289,7 @@ util::MapF TransientSimulator::static_ir_map(
     return load_currents[static_cast<std::size_t>(j)];
   });
   std::vector<double> v(static_cast<std::size_t>(n), vdd);
-  dc_solver_->solve(rhs, v);
+  dc_solver_.solve(rhs, v);
 
   std::vector<float> droop(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "pdn/power_grid.hpp"
-#include "sparse/solver.hpp"
+#include "sparse/cholesky.hpp"
 #include "util/grid2d.hpp"
 #include "vectors/current_trace.hpp"
 
@@ -23,7 +23,6 @@ namespace pdnn::sim {
 
 struct TransientOptions {
   double dt = 1e-12;  ///< integration step (paper: 1 ps)
-  sparse::SolverKind solver = sparse::SolverKind::kCholesky;
 };
 
 /// Batch width for simulate_batch call sites: `requested` if positive, else
@@ -60,7 +59,7 @@ class TransientSimulator {
   TransientResult simulate(const vectors::CurrentTrace& trace) const;
 
   /// Run dynamic analysis over B traces in lockstep: batched RHS assembly,
-  /// one multi-RHS solve per time step (LinearSolver::solve_multi), batched
+  /// one multi-RHS solve per time step (BandCholesky::solve_multi), batched
   /// inductor companion-state update and worst-noise recording. All traces
   /// must share num_steps. Column c performs exactly the operations of
   /// simulate(traces[c]) in the same order — no arithmetic ever crosses
@@ -89,8 +88,8 @@ class TransientSimulator {
 
   const pdn::PowerGrid& grid_;
   TransientOptions options_;
-  std::unique_ptr<sparse::LinearSolver> solver_;     // transient matrix
-  std::unique_ptr<sparse::LinearSolver> dc_solver_;  // DC (init + static)
+  sparse::BandCholesky solver_;     // transient matrix
+  sparse::BandCholesky dc_solver_;  // DC (init + static)
   std::vector<double> bump_g_;     ///< companion conductance per bump
   std::vector<double> bump_hist_;  ///< g * (L/dt) factor per bump
   std::vector<double> bump_g_dc_;  ///< DC conductance per bump (1/R)

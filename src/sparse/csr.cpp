@@ -130,15 +130,4 @@ CsrMatrix CsrMatrix::permuted(const std::vector<int>& perm) const {
   return from_triplets(n_, trips);
 }
 
-CsrMatrix CsrMatrix::lower_triangle() const {
-  std::vector<Triplet> trips;
-  for (int r = 0; r < n_; ++r) {
-    for (std::int64_t p = indptr_[r]; p < indptr_[r + 1]; ++p) {
-      const int c = indices_[static_cast<std::size_t>(p)];
-      if (c <= r) trips.push_back({r, c, values_[static_cast<std::size_t>(p)]});
-    }
-  }
-  return from_triplets(n_, trips);
-}
-
 }  // namespace pdnn::sparse

@@ -2,7 +2,7 @@
 //
 // The discretized PDN (modified nodal analysis with backward-Euler companion
 // models) is a symmetric positive-definite sparse system; this module holds
-// its storage format plus the handful of kernels the solvers need.
+// its storage format plus the handful of kernels the solver needs.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@ class CsrMatrix {
   const std::vector<std::int64_t>& indptr() const { return indptr_; }
   const std::vector<int>& indices() const { return indices_; }
   const std::vector<double>& values() const { return values_; }
-  std::vector<double>& mutable_values() { return values_; }
 
   /// y = A * x.
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;
@@ -47,9 +46,6 @@ class CsrMatrix {
   /// Symmetric permutation B = P A P^T where row i of B is row perm[i] of A
   /// (perm maps new index -> old index).
   CsrMatrix permuted(const std::vector<int>& perm) const;
-
-  /// Lower-triangular part (including diagonal), used by IC(0) and Cholesky.
-  CsrMatrix lower_triangle() const;
 
  private:
   int n_ = 0;

@@ -34,8 +34,14 @@ class ArgParser {
   bool parse(int argc, const char* const* argv);
 
   const std::string& get(const std::string& name) const;
+  /// Numeric getters parse the whole value; garbage, trailing characters,
+  /// and out-of-range or non-finite values throw a CheckError naming the
+  /// flag and its text.
   int get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
+  /// Comma-separated list of doubles ("0.1,0.2"), each item checked like
+  /// get_double().
+  std::vector<double> get_double_list(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
   std::string help() const;

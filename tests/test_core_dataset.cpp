@@ -334,6 +334,17 @@ TEST(Dataset, CacheKeyTracksEveryPhysicalInput) {
   EXPECT_NE(core::dataset_cache_key(spec, sim_options, longer, 55, 0), base);
 }
 
+TEST(Dataset, CacheKeyIsPinned) {
+  // Existing stores stay valid only while the key of a fixed input never
+  // changes. A change to the hashed fields or their order must bump the
+  // payload tag, and then this literal, on purpose.
+  vectors::VectorGenParams params;
+  params.num_steps = 30;
+  EXPECT_EQ(core::dataset_cache_key(tiny_spec(), sim::TransientOptions{},
+                                    params, 55, 3),
+            0x735c73b997225b89ull);
+}
+
 TEST(Dataset, RawSampleCodecRoundTripsExactly) {
   const core::RawDataset raw = build_raw(2);
   const std::string payload = core::encode_raw_sample(raw.samples[1]);

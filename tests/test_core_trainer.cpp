@@ -3,10 +3,12 @@
 // bit-identical weights from a "PDNT" checkpoint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "core/dataset.hpp"
@@ -277,11 +279,20 @@ TEST(Pipeline, InferenceIsFasterThanGoldenSim) {
   vectors::TestVectorGenerator gen(f.grid, params, 321);
   const auto trace = gen.generate();
 
+  // Each side is the fastest of several repetitions after a warm-up, so a
+  // descheduling on a loaded host cannot decide the comparison.
   core::PredictionTiming timing;
   pipeline.predict(trace, &timing);  // warm-up
-  pipeline.predict(trace, &timing);
-  const auto golden = f.simulator.simulate(trace);
-  EXPECT_LT(timing.total_seconds, golden.solve_seconds * 5.0)
+  f.simulator.simulate(trace);
+  double infer_seconds = std::numeric_limits<double>::infinity();
+  double golden_seconds = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 5; ++rep) {
+    pipeline.predict(trace, &timing);
+    infer_seconds = std::min(infer_seconds, timing.total_seconds);
+    golden_seconds =
+        std::min(golden_seconds, f.simulator.simulate(trace).solve_seconds);
+  }
+  EXPECT_LT(infer_seconds, golden_seconds * 5.0)
       << "inference should be at least comparable on a tiny design";
 }
 

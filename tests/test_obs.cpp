@@ -280,17 +280,17 @@ class JsonValidator {
 
 TEST(ObsCounters, DisabledCallsAreNoOps) {
   ObsGuard guard;
-  obs::counter_add(obs::Counter::kPcgIterations, 40);
+  obs::counter_add(obs::Counter::kSimSteps, 40);
   obs::counter_max(obs::Counter::kCholBatchWidthMax, 16);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kPcgIterations), 0);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSimSteps), 0);
   EXPECT_EQ(obs::counter_value(obs::Counter::kCholBatchWidthMax), 0);
 
   obs::set_enabled(true);
-  obs::counter_add(obs::Counter::kPcgIterations, 40);
-  obs::counter_add(obs::Counter::kPcgIterations, 2);
+  obs::counter_add(obs::Counter::kSimSteps, 40);
+  obs::counter_add(obs::Counter::kSimSteps, 2);
   obs::counter_max(obs::Counter::kCholBatchWidthMax, 16);
   obs::counter_max(obs::Counter::kCholBatchWidthMax, 8);  // below the max
-  EXPECT_EQ(obs::counter_value(obs::Counter::kPcgIterations), 42);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSimSteps), 42);
   EXPECT_EQ(obs::counter_value(obs::Counter::kCholBatchWidthMax), 16);
 }
 
@@ -312,7 +312,7 @@ TEST(ObsCounters, ReadingIsDeltaForTotalsAndEndValueForGauges) {
   const std::string json = obs::counters_json(before, after).dump();
   EXPECT_NE(json.find("\"gemm.calls\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"sim.batch_width_max\": 4"), std::string::npos) << json;
-  EXPECT_EQ(json.find("pcg.iterations"), std::string::npos) << json;
+  EXPECT_EQ(json.find("sim.steps"), std::string::npos) << json;
   JsonValidator v(json);
   EXPECT_TRUE(v.valid()) << json;
 }

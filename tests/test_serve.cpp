@@ -622,10 +622,65 @@ TEST(SwapServer, DivergentCandidateRollsBackAndIncumbentKeepsServing) {
   const serve::SwapReport report = server.swap_report(id);
   EXPECT_GE(report.diverged, 1);
   EXPECT_GE(report.canaried, report.diverged);
+  EXPECT_GT(report.max_divergence_volts, 0.0);  // the tolerance it needed
 
   const serve::Response after = server.predict(id, f.traces.front());
   ASSERT_EQ(after.status, serve::Status::kOk);
   EXPECT_TRUE(maps_equal(after.noise, pipeline.predict(f.traces.front())));
+  server.shutdown();
+  std::remove(path.c_str());
+}
+
+TEST(SwapServer, RetrainedCandidatePromotesWithinTolerance) {
+  // A same-dtype candidate with different weights, as a retrained model
+  // has, is judged by the same tolerance as a cross-dtype one.
+  Fixture f(8);
+  const core::WorstCasePipeline incumbent = f.pipeline();
+  const std::unique_ptr<core::WorstCaseNoiseNet> next = f.divergent_model();
+  const core::WorstCasePipeline retrained(f.grid, *next,
+                                          core::PipelineOptions{f.temporal});
+  double true_divergence = 0.0;
+  std::vector<util::MapF> expected_next;
+  for (const auto& trace : f.traces) {
+    const util::MapF old_map = incumbent.predict(trace);
+    expected_next.push_back(retrained.predict(trace));
+    for (std::size_t i = 0; i < old_map.size(); ++i) {
+      true_divergence = std::max(
+          true_divergence,
+          std::abs(static_cast<double>(old_map.data()[i]) -
+                   static_cast<double>(expected_next.back().data()[i])));
+    }
+  }
+  ASSERT_GT(true_divergence, 0.0);
+
+  serve::ServeOptions options;
+  options.canary_fraction = 1.0;
+  options.canary_requests = 3;
+  options.swap_tolerance_volts = true_divergence * 2.0;
+  serve::NoiseServer server(options);
+  const serve::DesignId id = server.add_design("tiny", f.grid, f.artifact());
+  const std::string path = f.artifact_file(*next, "retrained");
+  EXPECT_EQ(server.swap_artifact(id, path).state,
+            serve::SwapState::kCanarying);
+  for (std::size_t i = 0; i < f.traces.size(); ++i) {
+    const serve::Response r = server.predict(id, f.traces[i]);
+    ASSERT_EQ(r.status, serve::Status::kOk);
+    EXPECT_TRUE(maps_equal(r.noise, incumbent.predict(f.traces[i])) ||
+                maps_equal(r.noise, expected_next[i]))
+        << "request " << i;
+  }
+  ASSERT_TRUE(Fixture::eventually([&] {
+    return server.swap_report(id).state == serve::SwapState::kPromoted;
+  }));
+  const serve::SwapReport report = server.swap_report(id);
+  EXPECT_EQ(report.diverged, 0);
+  EXPECT_GE(report.canaried, 3);
+  EXPECT_GT(report.max_divergence_volts, 0.0);
+  EXPECT_LE(report.max_divergence_volts, options.swap_tolerance_volts);
+
+  const serve::Response after = server.predict(id, f.traces.front());
+  ASSERT_EQ(after.status, serve::Status::kOk);
+  EXPECT_TRUE(maps_equal(after.noise, expected_next.front()));
   server.shutdown();
   std::remove(path.c_str());
 }

@@ -1,5 +1,5 @@
-// Unit + property tests for the sparse stack: CSR assembly, orderings,
-// the band Cholesky, and PCG with both preconditioners.
+// Unit + property tests for the sparse stack: CSR assembly, orderings and
+// the band Cholesky.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +10,6 @@
 #include "sparse/cholesky.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ordering.hpp"
-#include "sparse/pcg.hpp"
-#include "sparse/random_walk.hpp"
-#include "sparse/solver.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -119,17 +116,6 @@ TEST(Csr, PermutedPreservesSpectrumAction) {
   }
 }
 
-TEST(Csr, LowerTriangleKeepsDiagonal) {
-  const CsrMatrix a = grid_laplacian(3, 3, 0.5);
-  const CsrMatrix low = a.lower_triangle();
-  for (int r = 0; r < low.rows(); ++r) {
-    for (std::int64_t p = low.indptr()[r]; p < low.indptr()[r + 1]; ++p) {
-      EXPECT_LE(low.indices()[static_cast<std::size_t>(p)], r);
-    }
-  }
-  EXPECT_EQ(low.diagonal(), a.diagonal());
-}
-
 TEST(Ordering, RcmReducesBandwidthOnShuffledGrid) {
   // Destroy the natural ordering with a random symmetric permutation, then
   // verify RCM recovers a bandwidth close to the grid dimension.
@@ -188,40 +174,6 @@ TEST_P(SolveGrids, CholeskySolvesToMachinePrecision) {
   EXPECT_LT(residual_norm(a, x, b), 1e-9);
 }
 
-TEST_P(SolveGrids, PcgJacobiConverges) {
-  const auto [rows, cols] = GetParam();
-  const CsrMatrix a = grid_laplacian(rows, cols, 0.3);
-  util::Rng rng(2);
-  const auto b = random_vector(a.rows(), rng);
-  sparse::JacobiPreconditioner m(a);
-  std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
-  const auto stats = sparse::pcg_solve(a, m, b, x, 1e-10, 2000);
-  EXPECT_TRUE(stats.converged);
-  EXPECT_LT(residual_norm(a, x, b), 1e-7);
-}
-
-TEST_P(SolveGrids, PcgIc0ConvergesFasterThanJacobi) {
-  const auto [rows, cols] = GetParam();
-  const CsrMatrix a = grid_laplacian(rows, cols, 0.3);
-  util::Rng rng(3);
-  const auto b = random_vector(a.rows(), rng);
-  sparse::JacobiPreconditioner mj(a);
-  sparse::Ic0Preconditioner mi(a);
-  std::vector<double> xj(static_cast<std::size_t>(a.rows()), 0.0);
-  std::vector<double> xi = xj;
-  const auto sj = sparse::pcg_solve(a, mj, b, xj, 1e-10, 4000);
-  const auto si = sparse::pcg_solve(a, mi, b, xi, 1e-10, 4000);
-  EXPECT_TRUE(sj.converged);
-  EXPECT_TRUE(si.converged);
-  // Strictly fewer iterations except in the trivial cases that converge in
-  // one step regardless of preconditioner.
-  if (a.rows() > 4) {
-    EXPECT_LT(si.iterations, sj.iterations);
-  } else {
-    EXPECT_LE(si.iterations, sj.iterations);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(GridSweep, SolveGrids,
                          testing::Values(std::pair{1, 1}, std::pair{2, 3},
                                          std::pair{8, 8}, std::pair{13, 7},
@@ -258,69 +210,31 @@ TEST(Cholesky, WarmRepeatSolvesAreConsistent) {
   }
 }
 
-TEST(Pcg, WarmStartReducesIterations) {
-  const CsrMatrix a = grid_laplacian(16, 16, 0.2);
-  util::Rng rng(4);
-  const auto b = random_vector(a.rows(), rng);
-  sparse::JacobiPreconditioner m(a);
-  std::vector<double> cold(static_cast<std::size_t>(a.rows()), 0.0);
-  const auto cold_stats = sparse::pcg_solve(a, m, b, cold, 1e-10, 4000);
-  // Perturb the rhs slightly; warm-start from the previous solution.
-  auto b2 = b;
-  for (double& v : b2) v *= 1.001;
-  std::vector<double> warm = cold;
-  const auto warm_stats = sparse::pcg_solve(a, m, b2, warm, 1e-10, 4000);
-  EXPECT_TRUE(warm_stats.converged);
-  EXPECT_LT(warm_stats.iterations, cold_stats.iterations);
-}
-
-TEST(Solver, FactoryRoundTrip) {
-  for (const auto kind :
-       {sparse::SolverKind::kCholesky, sparse::SolverKind::kPcgJacobi,
-        sparse::SolverKind::kPcgIc0}) {
-    EXPECT_EQ(sparse::solver_kind_from_string(sparse::to_string(kind)), kind);
-    auto solver = sparse::LinearSolver::create(kind);
-    ASSERT_NE(solver, nullptr);
-    const CsrMatrix a = grid_laplacian(6, 6, 0.4);
-    util::Rng rng(6);
-    const auto b = random_vector(a.rows(), rng);
-    solver->prepare(a);
-    std::vector<double> x(static_cast<std::size_t>(a.rows()), 0.0);
-    solver->solve(b, x);
-    EXPECT_LT(residual_norm(a, x, b), 1e-6) << solver->name();
-  }
-}
-
-TEST(Solver, SolveMultiMatchesRepeatedSingleBitExact) {
+TEST(Cholesky, SolveMultiMatchesRepeatedSingleBitExact) {
   // The multi-RHS block path must be a pure memory-traffic optimization:
-  // every column bit-identical to a single-RHS solve, for the blocked
-  // band-Cholesky kernel and the loop-over-columns fallback alike.
+  // every column bit-identical to a single-RHS solve.
   const CsrMatrix a = grid_laplacian(9, 7, 0.3);
   const int n = a.rows();
-  for (const auto kind :
-       {sparse::SolverKind::kCholesky, sparse::SolverKind::kPcgJacobi,
-        sparse::SolverKind::kPcgIc0, sparse::SolverKind::kPcgAmg}) {
-    auto solver = sparse::LinearSolver::create(kind);
-    solver->prepare(a);
-    ASSERT_EQ(solver->rows(), n);
-    for (const int batch : {1, 2, 3, 5}) {
-      util::Rng rng(31);
-      std::vector<double> block(static_cast<std::size_t>(n) * batch);
-      for (double& v : block) v = rng.normal();
-      std::vector<double> xblock(block.size(), 0.0);
-      solver->solve_multi(block.data(), xblock.data(), batch);
-      for (int c = 0; c < batch; ++c) {
-        const std::vector<double> b(
-            block.begin() + static_cast<std::size_t>(c) * n,
-            block.begin() + static_cast<std::size_t>(c + 1) * n);
-        std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-        solver->solve(b, x);
-        EXPECT_EQ(0,
-                  std::memcmp(x.data(),
-                              xblock.data() + static_cast<std::size_t>(c) * n,
-                              static_cast<std::size_t>(n) * sizeof(double)))
-            << solver->name() << " batch " << batch << " column " << c;
-      }
+  sparse::BandCholesky chol;
+  chol.factor(a);
+  ASSERT_EQ(chol.rows(), n);
+  for (const int batch : {1, 2, 3, 5}) {
+    util::Rng rng(31);
+    std::vector<double> block(static_cast<std::size_t>(n) * batch);
+    for (double& v : block) v = rng.normal();
+    std::vector<double> xblock(block.size(), 0.0);
+    chol.solve_multi(block.data(), xblock.data(), batch);
+    for (int c = 0; c < batch; ++c) {
+      const std::vector<double> b(
+          block.begin() + static_cast<std::size_t>(c) * n,
+          block.begin() + static_cast<std::size_t>(c + 1) * n);
+      std::vector<double> x;
+      chol.solve(b, x);
+      EXPECT_EQ(0,
+                std::memcmp(x.data(),
+                            xblock.data() + static_cast<std::size_t>(c) * n,
+                            static_cast<std::size_t>(n) * sizeof(double)))
+          << "batch " << batch << " column " << c;
     }
   }
 }
@@ -345,54 +259,6 @@ TEST(Cholesky, SolveMultiSolvesEveryColumn) {
                                      static_cast<std::size_t>(c + 1) * n);
     EXPECT_LT(residual_norm(a, xc, bc), 1e-9) << "column " << c;
   }
-}
-
-TEST(Solver, UnknownNameThrows) {
-  EXPECT_THROW(sparse::solver_kind_from_string("lu"), util::CheckError);
-}
-
-TEST(RandomWalk, MatchesDirectSolverStatistically) {
-  // Strong ground conductance -> short walks and low variance.
-  const CsrMatrix a = grid_laplacian(6, 6, 1.0);
-  util::Rng rng(21);
-  std::vector<double> b(static_cast<std::size_t>(a.rows()), 0.0);
-  b[14] = 2.0;
-  b[7] = -0.5;
-
-  sparse::BandCholesky chol;
-  chol.factor(a);
-  std::vector<double> exact;
-  chol.solve(b, exact);
-
-  const sparse::RandomWalkSolver walker(a);
-  sparse::RandomWalkOptions opt;
-  opt.walks = 20000;
-  for (int node : {0, 7, 14, 35}) {
-    const double estimate = walker.solve_node(b, node, rng, opt);
-    const double truth = exact[static_cast<std::size_t>(node)];
-    EXPECT_NEAR(estimate, truth, 0.05 * std::max(0.05, std::abs(truth)))
-        << "node " << node;
-  }
-}
-
-TEST(RandomWalk, ZeroRhsGivesZero) {
-  const CsrMatrix a = grid_laplacian(4, 4, 0.5);
-  const sparse::RandomWalkSolver walker(a);
-  util::Rng rng(22);
-  const std::vector<double> b(16, 0.0);
-  EXPECT_DOUBLE_EQ(walker.solve_node(b, 5, rng), 0.0);
-}
-
-TEST(RandomWalk, RejectsNonDominantOrUngrounded) {
-  // Pure Laplacian (no diagonal excess anywhere): walks never terminate.
-  const CsrMatrix floating = CsrMatrix::from_triplets(
-      2, {{0, 0, 1.0}, {1, 1, 1.0}, {0, 1, -1.0}, {1, 0, -1.0}});
-  EXPECT_THROW(sparse::RandomWalkSolver{floating}, util::CheckError);
-
-  // Positive off-diagonal violates the transition-probability reading.
-  const CsrMatrix bad = CsrMatrix::from_triplets(
-      2, {{0, 0, 2.0}, {1, 1, 2.0}, {0, 1, 1.0}, {1, 0, 1.0}});
-  EXPECT_THROW(sparse::RandomWalkSolver{bad}, util::CheckError);
 }
 
 }  // namespace

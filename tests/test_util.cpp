@@ -225,6 +225,69 @@ TEST(Cli, MissingValueThrows) {
   EXPECT_THROW(args.parse(2, argv), util::CheckError);
 }
 
+/// Parser with one value set on the command line for flag `name`.
+util::ArgParser parsed_with(const std::string& name, const char* value) {
+  util::ArgParser args("prog", "test");
+  args.add_flag(name, "1", name);
+  const std::string flag = "--" + name;
+  const char* argv[] = {"prog", flag.c_str(), value};
+  EXPECT_TRUE(args.parse(3, argv));
+  return args;
+}
+
+/// `get` throws a CheckError whose message names the flag and its text.
+template <typename Get>
+void expect_flag_error(Get get, const std::string& flag,
+                       const std::string& text) {
+  try {
+    get();
+    ADD_FAILURE() << "expected CheckError for --" << flag << " " << text;
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + text + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, IntFlagRejectsGarbage) {
+  const util::ArgParser args = parsed_with("vectors", "abc");
+  expect_flag_error([&] { return args.get_int("vectors"); }, "vectors", "abc");
+}
+
+TEST(Cli, IntFlagRejectsTrailingCharacters) {
+  const util::ArgParser args = parsed_with("vectors", "2x");
+  expect_flag_error([&] { return args.get_int("vectors"); }, "vectors", "2x");
+  EXPECT_EQ(parsed_with("vectors", "-2").get_int("vectors"), -2);
+}
+
+TEST(Cli, IntFlagRejectsOutOfRange) {
+  const util::ArgParser args = parsed_with("vectors", "99999999999");
+  expect_flag_error([&] { return args.get_int("vectors"); }, "vectors",
+                    "99999999999");
+}
+
+TEST(Cli, DoubleFlagRejectsGarbageTrailingAndOutOfRange) {
+  for (const char* text : {"fast", "0.3s", "1e999", "nan", ""}) {
+    const util::ArgParser args = parsed_with("rate", text);
+    expect_flag_error([&] { return args.get_double("rate"); }, "rate", text);
+  }
+  EXPECT_DOUBLE_EQ(parsed_with("rate", "1e-4").get_double("rate"), 1e-4);
+}
+
+TEST(Cli, DoubleListChecksEveryItem) {
+  const std::vector<double> rates =
+      parsed_with("rates", "0.05,0.3").get_double_list("rates");
+  ASSERT_EQ(rates.size(), 2u);
+  EXPECT_DOUBLE_EQ(rates[0], 0.05);
+  EXPECT_DOUBLE_EQ(rates[1], 0.3);
+  for (const char* bad : {"0.1,abc", "0.1,0.2x"}) {
+    const util::ArgParser args = parsed_with("rates", bad);
+    const std::string item = std::string(bad).substr(4);
+    expect_flag_error([&] { return args.get_double_list("rates"); }, "rates",
+                      item);
+  }
+}
+
 TEST(Io, CsvWritesAllCells) {
   util::MapF g(2, 2);
   g(0, 0) = 1.0f;
