@@ -81,26 +81,6 @@ def gate_serve(args):
     print(f"{status} saturation_requests_per_second: {fresh_rps:.3g} vs "
           f"{base_rps:.3g} req/s ({change:+.1%})")
 
-    # The int8 leg gates the same way once the committed baseline carries it
-    # (quantized serving must not silently fall off a cliff — or vanish).
-    key = "saturation_requests_per_second_int8"
-    base_int8 = baseline.get("options", {}).get(key)
-    if base_int8 and base_int8 > 0:
-        fresh_int8 = fresh.get("options", {}).get(key)
-        if not fresh_int8 or fresh_int8 <= 0:
-            failures.append(f"fresh report lost {key}")
-        else:
-            change = fresh_int8 / base_int8 - 1.0
-            status = "ok   "
-            if change < -args.max_regression:
-                status = "FAIL "
-                failures.append(
-                    f"int8 saturation: {fresh_int8:.3g} vs baseline "
-                    f"{base_int8:.3g} req/s ({change:+.1%}, limit "
-                    f"-{args.max_regression:.0%})")
-            print(f"{status} {key}: {fresh_int8:.3g} vs {base_int8:.3g} "
-                  f"req/s ({change:+.1%})")
-
     if failures:
         print(f"\n{len(failures)} check(s) failed the serve gate:")
         for f in failures:

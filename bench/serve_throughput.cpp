@@ -14,15 +14,13 @@
 //      across the ramp is reported as the saturation rate.
 //
 // The run also calibrates and writes an int8 PDNB v2 candidate from the
-// same trained model, reruns the open-loop ramp against an int8 fleet (the
-// fp32-vs-int8 saturation comparison), and — when a cross-dtype canary
-// tolerance is set via --serve-swap-tolerance-mv — hot-swaps the int8
-// candidate over the fp32 incumbent through the canary path and verifies
-// the post-promote maps match the int8 serial bits.
+// same trained model and — when a cross-dtype canary tolerance is set via
+// --serve-swap-tolerance-mv — hot-swaps it over the fp32 incumbent through
+// the canary path and verifies the post-promote maps match the int8 serial
+// bits.
 //
-// BENCH_serve.json gains `saturation_requests_per_second` (fp32) and
-// `saturation_requests_per_second_int8` plus per-rate rows with
-// client-observed p50/p95/p99; the CI gate reads the saturation figures.
+// BENCH_serve.json gains `saturation_requests_per_second` plus per-rate rows
+// with client-observed p50/p95/p99; the CI gate reads the saturation figure.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -346,28 +344,9 @@ int main(int argc, char** argv) {
   const double seed_seconds = serial_timer.lap("bench.serve_serial_seed");
   const double seed_rps = total_requests / seed_seconds;
 
-  // Int8 serial baseline: the quantized pipeline's own reference bits (the
-  // int8 fleet runs and the post-swap maps are verified against these) and
-  // its single-thread rate.
-  const core::ModelArtifact int8_artifact = core::load_artifact(int8_path);
-  const core::WorstCasePipeline int8_pipeline(
-      *ex.grid, *int8_artifact.model,
-      core::PipelineOptions{int8_artifact.temporal});
-  std::vector<util::MapF> expected_int8(
-      static_cast<std::size_t>(total_requests));
-  int8_pipeline.predict(traces.front());  // warm-up
-  serial_timer.reset();
-  for (int i = 0; i < total_requests; ++i) {
-    expected_int8[static_cast<std::size_t>(i)] =
-        int8_pipeline.predict(traces[static_cast<std::size_t>(i)]);
-  }
-  const double int8_seconds = serial_timer.lap("bench.serve_serial_int8");
-  const double serial_int8_rps = total_requests / int8_seconds;
-
   metrics.lap("serial_baseline");
   metrics.set("serial_requests_per_second", serial_rps);
   metrics.set("serial_seed_requests_per_second", seed_rps);
-  metrics.set("serial_int8_requests_per_second", serial_int8_rps);
   metrics.set("hardware_threads",
               static_cast<std::int64_t>(std::thread::hardware_concurrency()));
 
@@ -384,9 +363,6 @@ int main(int argc, char** argv) {
               seed_seconds, seed_rps, "-", "-", "-", "-", "-", "-");
   std::printf("%-16s %10.4f %10.2f %8s %7s %7s %7s %7s %7s\n", "serial",
               serial_seconds, serial_rps, "1.00", "-", "-", "-", "-", "-");
-  std::printf("%-16s %10.4f %10.2f %8.2f %7s %7s %7s %7s %7s\n", "serial-int8",
-              int8_seconds, serial_int8_rps, serial_int8_rps / serial_rps, "-",
-              "-", "-", "-", "-");
 
   // 4) Closed-loop verification: shard counts {1, S} × client counts, mixed
   //    designs, optional mid-run hot-swap. Every map must match the serial
@@ -566,11 +542,16 @@ int main(int argc, char** argv) {
     }
     const serve::SwapReport report = server.swap_report(id);
     if (report.state != serve::SwapState::kPromoted) swap_ok = false;
+    // Untimed reference bits from the serial int8 pipeline.
+    const core::ModelArtifact int8_artifact = core::load_artifact(int8_path);
+    const core::WorstCasePipeline int8_pipeline(
+        *ex.grid, *int8_artifact.model,
+        core::PipelineOptions{int8_artifact.temporal});
     for (int i = 0; i < 4 && swap_ok; ++i) {
       const auto t = static_cast<std::size_t>(i);
       const serve::Response r = server.predict(id, traces[t]);
       if (r.status != serve::Status::kOk ||
-          !maps_equal(r.noise, expected_int8[t])) {
+          !maps_equal(r.noise, int8_pipeline.predict(traces[t]))) {
         swap_ok = false;
       }
     }
@@ -656,64 +637,10 @@ int main(int argc, char** argv) {
   all_match = all_match && open_match;
   metrics.lap("open_loop");
 
-  // 7) Same ramp against an all-int8 fleet: the fp32-vs-int8 saturation
-  //    comparison. Maps are verified against the int8 serial bits — the
-  //    quantized path is exactly as deterministic as the fp32 one.
-  double saturation_int8_rps = 0.0;
-  LatencySummary saturation_int8_latency;
-  bool int8_match = true;
-  {
-    serve::NoiseServer server(serve_flags.options);
-    std::vector<serve::DesignId> ids;
-    for (int d = 0; d < serve_flags.designs; ++d) {
-      ids.push_back(server.add_design(
-          ex.spec.name + "-int8#" + std::to_string(d), *ex.grid,
-          core::load_artifact(int8_path)));
-    }
-    double rate = first_rate;
-    for (int step = 0; step < serve_flags.ramp_steps; ++step, rate *= 2.0) {
-      const OpenLoopResult r = run_open_loop(
-          server, ids, traces, expected_int8, rate, open_total, open_threads,
-          /*seed=*/0x9e3779b9u + static_cast<std::uint64_t>(step));
-      int8_match = int8_match && r.bit_identical;
-      if (r.achieved_rps > saturation_int8_rps) {
-        saturation_int8_rps = r.achieved_rps;
-        saturation_int8_latency = r.latency;
-      }
-      std::printf(
-          "%-16s %10.2f %10.2f %8d %7d %7.2f %7.2f %7.2f %7.2f%s\n",
-          ("int8:" + std::to_string(step)).c_str(), r.offered_rps,
-          r.achieved_rps, r.ok, r.overloaded, r.latency.p50, r.latency.p95,
-          r.latency.p99, r.latency.max,
-          r.bit_identical ? "" : "  [MISMATCH]");
-
-      obs::JsonValue run = obs::JsonValue::object();
-      run.set("mode", "open_loop_int8");
-      run.set("offered_requests_per_second", r.offered_rps);
-      run.set("achieved_requests_per_second", r.achieved_rps);
-      run.set("seconds", r.seconds);
-      run.set("ok", r.ok);
-      run.set("overloaded", r.overloaded);
-      run.set("other", r.other);
-      run.set("latency_ms", latency_json(r.latency));
-      run.set("bit_identical", r.bit_identical);
-      metrics.add_design(std::move(run));
-    }
-    server.shutdown();
-  }
-  all_match = all_match && int8_match;
-  metrics.lap("open_loop_int8");
-  std::printf("saturation: fp32 %.2f req/s, int8 %.2f req/s (%.2fx)\n",
-              saturation_rps, saturation_int8_rps,
-              saturation_rps > 0.0 ? saturation_int8_rps / saturation_rps
-                                   : 0.0);
-
   metrics.set("bit_identical", all_match);
   metrics.set("best_speedup_vs_serial", best_speedup);
   metrics.set("saturation_requests_per_second", saturation_rps);
-  metrics.set("saturation_requests_per_second_int8", saturation_int8_rps);
   metrics.set("latency_ms", latency_json(saturation_latency));
-  metrics.set("latency_ms_int8", latency_json(saturation_int8_latency));
   metrics.finish();
   if (swap_path != artifact_path) std::remove(swap_path.c_str());
 

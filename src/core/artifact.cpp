@@ -83,18 +83,42 @@ void write_header(std::ostream& out, std::uint32_t version,
   PDN_CHECK(out.good(), "save_artifact: header write failed for " + path);
 }
 
-/// Weight-block reader shared by load_artifact and load_model: dispatches on
-/// the version/dtype the header announced.
-void load_weights(const ModelArtifact& art,
-                  const std::vector<nn::Parameter*>& params, std::istream& in,
-                  const std::string& path) {
-  if (art.version == kVersion) {
-    nn::load_parameters(params, in, path);
-  } else if (art.dtype == quant::ParamDtype::kF16) {
-    quant::read_f16_block(params, in, path);
-  } else {
-    quant::read_int8_block(params, in, path);
+/// Scalars in a UNet2(in, c, out) and a FusionNet(c), counted from the layer
+/// lists in core/model.cpp. In double: the counts come from an unchecked
+/// header, and must not overflow before they are compared.
+double unet2_scalars(double in, double c, double out) {
+  return 9 * c * (in + 10 * c + out) + 9 * c + out;
+}
+double fusion_scalars(double c) { return 18 * c * (c + 1) + 3 * c + 1; }
+
+/// Reject channel counts whose weights cannot fit in the bytes left after
+/// the header, before load_artifact allocates the model they describe, so a
+/// tampered header ends in a CheckError naming the field instead of an
+/// unbounded allocation. Each subnet is checked on its own, at one byte per
+/// scalar for int8, two for fp16 and four for fp32: a count that fits but
+/// disagrees with the stored shapes still reaches the weight reader, which
+/// names the parameter.
+void check_weight_payload(const ModelArtifact& art, std::istream& in,
+                          const std::string& path) {
+  const std::istream::pos_type weights_at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff left = in.tellg() - weights_at;
+  in.seekg(weights_at);
+  double bytes_per_scalar = 4.0;
+  if (art.version == kVersionQuant) {
+    bytes_per_scalar = art.dtype == quant::ParamDtype::kF16 ? 2.0 : 1.0;
   }
+  const auto check = [&](double scalars, const char* fields) {
+    PDN_CHECK(scalars * bytes_per_scalar <= static_cast<double>(left),
+              std::string("load_artifact: field ") + fields +
+                  " implies more weight bytes than the " +
+                  std::to_string(left) + " left in " + path);
+  };
+  const ModelConfig& c = art.config;
+  check(unet2_scalars(c.distance_channels, c.c1, 1),
+        "'distance_channels'/'c1'");
+  check(fusion_scalars(c.c2), "'c2'");
+  check(unet2_scalars(4, c.c3, 1), "'c3'");
 }
 
 }  // namespace
@@ -133,8 +157,16 @@ ModelArtifact load_artifact(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   PDN_CHECK(in.good(), "load_artifact: cannot open " + path);
   ModelArtifact art = read_header(in, path);
+  check_weight_payload(art, in, path);
   art.model = std::make_unique<WorstCaseNoiseNet>(art.config);
-  load_weights(art, art.model->parameters(), in, path);
+  const std::vector<nn::Parameter*> params = art.model->parameters();
+  if (art.version == kVersion) {
+    nn::load_parameters(params, in, path);
+  } else if (art.dtype == quant::ParamDtype::kF16) {
+    quant::read_f16_block(params, in, path);
+  } else {
+    quant::read_int8_block(params, in, path);
+  }
   return art;
 }
 
@@ -142,32 +174,6 @@ ModelArtifact peek_artifact(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   PDN_CHECK(in.good(), "peek_artifact: cannot open " + path);
   return read_header(in, path);
-}
-
-// ---------------------------------------------------------------------------
-// Compat shims declared in core/model.hpp.
-// ---------------------------------------------------------------------------
-
-void save_model(WorstCaseNoiseNet& model, const std::string& path) {
-  save_artifact(model, TemporalCompressionOptions{}, path);
-}
-
-ModelConfig peek_model_config(const std::string& path) {
-  return peek_artifact(path).config;
-}
-
-void load_model(WorstCaseNoiseNet& model, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PDN_CHECK(in.good(), "load_model: cannot open " + path);
-  const ModelArtifact stored = read_header(in, path);
-  const ModelConfig& own = model.config();
-  PDN_CHECK(stored.config.distance_channels == own.distance_channels &&
-                stored.config.tile_rows == own.tile_rows &&
-                stored.config.tile_cols == own.tile_cols &&
-                stored.config.c1 == own.c1 && stored.config.c2 == own.c2 &&
-                stored.config.c3 == own.c3,
-            "load_model: architecture mismatch for " + path);
-  load_weights(stored, model.parameters(), in, path);
 }
 
 }  // namespace pdnn::core

@@ -20,8 +20,7 @@
 // Every read is checked; truncation, a bad magic, or a shape mismatch throws
 // util::CheckError naming the offending field. The field read/write and
 // magic/version conventions are shared with the PDNC store chunks and PDNT
-// training checkpoints via store/container.hpp. save_model/load_model in
-// core/model.hpp are thin compat shims over this container.
+// training checkpoints via store/container.hpp.
 #pragma once
 
 #include <memory>
@@ -58,15 +57,17 @@ void save_artifact_f16(WorstCaseNoiseNet& model,
                        const std::string& path);
 
 /// Write a v2 artifact with symmetric per-tensor int8 weights plus the
-/// static activation scales from `calibration`; conv layers with calibrated
-/// activations run the int8 GEMM at inference after loading.
+/// static activation scales from `calibration` (3.7x smaller; weights are
+/// dequantized to fp32 at load, inference runs the fp32 path).
 void save_artifact_int8(WorstCaseNoiseNet& model,
                         const TemporalCompressionOptions& temporal,
                         const quant::CalibrationResult& calibration,
                         const std::string& path);
 
 /// Read a "PDNB" file (any supported version), rebuild the model
-/// architecture from the stored config, and load the weights into it.
+/// architecture from the stored config, and load the weights into it. Channel
+/// counts whose weights cannot fit in the rest of the file are rejected
+/// before the model is allocated.
 ModelArtifact load_artifact(const std::string& path);
 
 /// Read only the header (config + compressor options + version/dtype)

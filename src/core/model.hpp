@@ -120,11 +120,4 @@ class WorstCaseNoiseNet : public nn::Module {
   UNet2 prediction_net_;
 };
 
-/// Compat shims over the single-file artifact container (core/artifact.hpp):
-/// save_model writes an artifact with default compressor options; load_model
-/// verifies the stored architecture matches and loads the weights.
-void save_model(WorstCaseNoiseNet& model, const std::string& path);
-ModelConfig peek_model_config(const std::string& path);
-void load_model(WorstCaseNoiseNet& model, const std::string& path);
-
 }  // namespace pdnn::core

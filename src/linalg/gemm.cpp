@@ -42,13 +42,6 @@ void gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,
   kernels().gemm_tn(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
-void gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
-             const std::int8_t* b, int ldb, std::int32_t* c, int ldc) {
-  note_gemm(m, n, k);
-  obs::counter_add(obs::Counter::kGemmS8Calls, 1);
-  kernels().gemm_s8(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
 void axpy(int n, float alpha, const float* x, float* y) {
   for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
 }

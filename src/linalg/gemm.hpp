@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace pdnn::linalg {
 
@@ -28,14 +27,6 @@ void gemm_nt(int m, int n, int k, float alpha, const float* a, int lda,
 /// C = alpha * A^T * B + beta * C.  A is KxM, B is KxN, C is MxN.
 void gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,
              const float* b, int ldb, float beta, float* c, int ldc);
-
-/// C (int32) = A (int8) * B (int8); C is overwritten. A is MxK, B is KxN,
-/// C is MxN, row-major. The quantized-inference workhorse: integer
-/// accumulation is exact, so every backend and thread count computes the
-/// same bytes (the float kernels need a fixed accumulation order for that;
-/// this one gets it for free).
-void gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
-             const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
 
 /// y = alpha * x + y over n elements.
 void axpy(int n, float alpha, const float* x, float* y);

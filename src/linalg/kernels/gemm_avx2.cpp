@@ -444,99 +444,12 @@ void avx2_conv3x3(const Conv3x3Args& args) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Int8 GEMM: C (int32) = A (int8, m x k) * B (int8, k x n).
-//
-// The microkernel consumes k in sign-extended int16 *pairs*: two B rows are
-// interleaved with vpunpck[lh]wd, the matching A pair is broadcast as one
-// 32-bit lane, and vpmaddwd multiplies and adds each pair into the int32
-// accumulators. vpmaddwd cannot overflow here — 2 * 127 * 127 is far below
-// INT32_MAX, and the conv lowering's k (cin * 9 <= 144 for the paper net)
-// keeps the running int32 sums orders of magnitude inside the limit.
-// vpmaddubsw (the u8 x s8 variant) is deliberately NOT used: its intermediate
-// int16 sums saturate (e.g. 255 * 127 + 255 * 127 = 64770 > 32767), which
-// would break bit-identity with the scalar reference. Integer adds are
-// associative, so this kernel is exact and byte-matches scalar_gemm_s8 for
-// every shape, thread count, and accumulation order.
-// ---------------------------------------------------------------------------
-
-void avx2_gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
-                  const std::int8_t* b, int ldb, std::int32_t* c, int ldc) {
-  if (n < 16) {
-    // Narrow outputs cannot fill one 16-column tile; the scalar reference is
-    // exact and just as fast there.
-    scalar_gemm_s8(m, n, k, a, lda, b, ldb, c, ldc);
-    return;
-  }
-  for_each_row_panel(m, n, k, [&](int panel) {
-    const int i0 = panel * kMB;
-    const int i1 = std::min(m, i0 + kMB);
-    const int kk = k & ~1;  // paired k extent
-    for (int i = i0; i < i1; ++i) {
-      const std::int8_t* arow = a + static_cast<std::ptrdiff_t>(i) * lda;
-      std::int32_t* crow = c + static_cast<std::ptrdiff_t>(i) * ldc;
-      int j = 0;
-      for (; j + 16 <= n; j += 16) {
-        __m256i acc_lo = _mm256_setzero_si256();  // cols j+0..3, j+8..11
-        __m256i acc_hi = _mm256_setzero_si256();  // cols j+4..7, j+12..15
-        for (int p = 0; p < kk; p += 2) {
-          // Broadcast the A pair [a(i,p), a(i,p+1)] as one int16x2 lane.
-          const std::uint16_t a0 =
-              static_cast<std::uint16_t>(static_cast<std::int16_t>(arow[p]));
-          const std::uint16_t a1 = static_cast<std::uint16_t>(
-              static_cast<std::int16_t>(arow[p + 1]));
-          const __m256i apair = _mm256_set1_epi32(
-              static_cast<int>(a0) | (static_cast<int>(a1) << 16));
-          // Sign-extend 16 columns of B rows p and p+1 to int16.
-          const __m256i b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(
-                  b + static_cast<std::ptrdiff_t>(p) * ldb + j)));
-          const __m256i b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(
-                  b + static_cast<std::ptrdiff_t>(p + 1) * ldb + j)));
-          // Interleave the two rows so each 32-bit lane holds one column's
-          // [b(p,j'), b(p+1,j')] pair, matching the broadcast A pair.
-          const __m256i lo = _mm256_unpacklo_epi16(b0, b1);
-          const __m256i hi = _mm256_unpackhi_epi16(b0, b1);
-          acc_lo = _mm256_add_epi32(acc_lo, _mm256_madd_epi16(apair, lo));
-          acc_hi = _mm256_add_epi32(acc_hi, _mm256_madd_epi16(apair, hi));
-        }
-        // Undo the unpack permutation: gather the four 4-column groups back
-        // into ascending column order before storing.
-        const __m256i out0 = _mm256_permute2x128_si256(acc_lo, acc_hi, 0x20);
-        const __m256i out1 = _mm256_permute2x128_si256(acc_lo, acc_hi, 0x31);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j), out0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j + 8), out1);
-        if (k & 1) {
-          const std::int32_t atail = arow[k - 1];
-          const std::int8_t* btail =
-              b + static_cast<std::ptrdiff_t>(k - 1) * ldb;
-          for (int jj = j; jj < j + 16; ++jj) {
-            crow[jj] += atail * static_cast<std::int32_t>(btail[jj]);
-          }
-        }
-      }
-      // Scalar column tail (n % 16).
-      for (; j < n; ++j) {
-        std::int32_t acc = 0;
-        for (int p = 0; p < k; ++p) {
-          acc += static_cast<std::int32_t>(arow[p]) *
-                 static_cast<std::int32_t>(
-                     b[static_cast<std::ptrdiff_t>(p) * ldb + j]);
-        }
-        crow[j] = acc;
-      }
-    }
-  });
-}
-
 const KernelTable kAvx2Table = {
     KernelBackend::kAvx2,
     avx2_gemm_nn,
     avx2_gemm_tn,
     scalar_gemm_nt,  // dot-product shape: no contract-preserving vector win
     avx2_conv3x3,
-    avx2_gemm_s8,
 };
 
 }  // namespace

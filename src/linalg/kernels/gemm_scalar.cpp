@@ -86,43 +86,12 @@ void scalar_gemm_nt(int m, int n, int k, float alpha, const float* a, int lda,
   });
 }
 
-void scalar_gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
-                    const std::int8_t* b, int ldb, std::int32_t* c, int ldc) {
-  // Integer accumulation is exact, so the blocking below is purely a cache
-  // optimization — any panel/thread partition computes the same bits. The
-  // flop heuristic treats one int8 madd like one float madd, which is close
-  // enough to keep the parallel threshold meaningful.
-  for_each_row_panel(m, n, k, [&](int panel) {
-    const int i0 = panel * kMB;
-    const int i1 = std::min(m, i0 + kMB);
-    for (int i = i0; i < i1; ++i) {
-      std::int32_t* crow = c + static_cast<std::ptrdiff_t>(i) * ldc;
-      for (int j = 0; j < n; ++j) crow[j] = 0;
-    }
-    for (int p0 = 0; p0 < k; p0 += kKB) {
-      const int p1 = std::min(k, p0 + kKB);
-      for (int i = i0; i < i1; ++i) {
-        std::int32_t* crow = c + static_cast<std::ptrdiff_t>(i) * ldc;
-        const std::int8_t* arow = a + static_cast<std::ptrdiff_t>(i) * lda;
-        for (int p = p0; p < p1; ++p) {
-          const std::int32_t aip = arow[p];
-          const std::int8_t* brow = b + static_cast<std::ptrdiff_t>(p) * ldb;
-          for (int j = 0; j < n; ++j) {
-            crow[j] += aip * static_cast<std::int32_t>(brow[j]);
-          }
-        }
-      }
-    }
-  });
-}
-
 const KernelTable kScalarTable = {
     KernelBackend::kScalar,
     scalar_gemm_nn,
     scalar_gemm_tn,
     scalar_gemm_nt,
     nullptr,  // no fused conv: the scalar path lowers through im2col
-    scalar_gemm_s8,
 };
 
 }  // namespace pdnn::linalg::detail

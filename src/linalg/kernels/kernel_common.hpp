@@ -67,11 +67,6 @@ extern const KernelTable kScalarTable;
 void scalar_gemm_nt(int m, int n, int k, float alpha, const float* a, int lda,
                     const float* b, int ldb, float beta, float* c, int ldc);
 
-/// The scalar int8 x int8 -> int32 reference kernel (GemmS8Fn semantics).
-/// Exported so the AVX2 backend's narrow-column fallback reuses it.
-void scalar_gemm_s8(int m, int n, int k, const std::int8_t* a, int lda,
-                    const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
-
 /// The AVX2 backend's table, or nullptr when the binary was built without
 /// AVX2 support. Defined in gemm_avx2.cpp under both conditions.
 const KernelTable* avx2_table();

@@ -93,18 +93,6 @@ struct Conv3x3Args {
 
 using Conv3x3Fn = void (*)(const Conv3x3Args& args);
 
-/// C = A * B over quantized operands: A is m x k int8, B is k x n int8, C is
-/// m x n int32, all row-major; C is overwritten (beta = 0 semantics — the
-/// quantized conv path dequantizes into a fresh buffer, so nothing ever
-/// accumulates into C). Integer accumulation is exact and associative, so —
-/// unlike the float kernels — every backend and thread partition is
-/// bit-identical by construction; the registry still dispatches it so the
-/// AVX2 vpmaddwd microkernel can be byte-compared against this reference in
-/// CI.
-using GemmS8Fn = void (*)(int m, int n, int k, const std::int8_t* a, int lda,
-                          const std::int8_t* b, int ldb, std::int32_t* c,
-                          int ldc);
-
 /// A backend's kernel set. gemm_nt has no vectorized variant (its dot-product
 /// shape gains nothing from the contract-preserving ops), so both backends
 /// share the scalar implementation; conv3x3 is null when the backend has no
@@ -115,7 +103,6 @@ struct KernelTable {
   GemmFn gemm_tn = nullptr;
   GemmFn gemm_nt = nullptr;
   Conv3x3Fn conv3x3 = nullptr;
-  GemmS8Fn gemm_s8 = nullptr;  ///< int8 x int8 -> int32 (quantized conv)
 };
 
 /// The kernel table for active_backend().

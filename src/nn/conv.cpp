@@ -1,13 +1,11 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <mutex>
 #include <vector>
 
 #include "linalg/gemm.hpp"
 #include "linalg/kernels/registry.hpp"
-#include "nn/quant_state.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -108,8 +106,6 @@ struct ConvScratch {
   ConvScratch();
   ~ConvScratch();
   std::vector<float> a, b;
-  std::vector<std::int8_t> q;     ///< quantized im2col columns
-  std::vector<std::int32_t> acc;  ///< int32 GEMM accumulators
 };
 
 std::mutex& scratch_mu() {
@@ -159,10 +155,6 @@ void release_conv_scratch() {
     s->a.shrink_to_fit();
     s->b.clear();
     s->b.shrink_to_fit();
-    s->q.clear();
-    s->q.shrink_to_fit();
-    s->acc.clear();
-    s->acc.shrink_to_fit();
   }
 }
 
@@ -444,81 +436,6 @@ Var conv_transpose2d(const Var& x, const Var& w, const Var& b, int stride,
   };
 
   return Var::from_op(out, {x.node(), w.node(), b.node()}, backward);
-}
-
-Var quantized_conv2d(const Var& x, const ParamQuant& quant, const Var& w,
-                     const Var& b, int stride, int pad, PadMode mode) {
-  const Tensor& xv = x.value();
-  const Tensor& wv = w.value();
-  const Tensor& bv = b.value();
-  PDN_CHECK(!NoGradGuard::enabled(),
-            "quantized_conv2d: gradients requested on a quantized model "
-            "(int8 weights carry no tape; run inference under a NoGradGuard "
-            "or load the fp32 artifact for training)");
-  PDN_CHECK(xv.ndim() == 4 && wv.ndim() == 4,
-            "quantized_conv2d: expects 4-D tensors");
-  PDN_CHECK(xv.c() == wv.c(), "quantized_conv2d: channel mismatch");
-  PDN_CHECK(bv.ndim() == 1 && bv.dim(0) == wv.n(),
-            "quantized_conv2d: bias mismatch");
-  PDN_CHECK(stride >= 1 && pad >= 0, "quantized_conv2d: bad stride/pad");
-  PDN_CHECK(static_cast<std::int64_t>(quant.q.size()) == wv.numel(),
-            "quantized_conv2d: int8 weight count disagrees with the tensor "
-            "shape");
-  PDN_CHECK(quant.weight_scale > 0.0f && quant.act_scale > 0.0f,
-            "quantized_conv2d: non-positive quantization scale");
-
-  const int n = xv.n(), cin = xv.c(), h = xv.h(), wd = xv.w();
-  const int cout = wv.n(), kh = wv.h(), kw = wv.w();
-  const int ho = conv_out_size(h, kh, stride, pad);
-  const int wo = conv_out_size(wd, kw, stride, pad);
-  PDN_CHECK(ho > 0 && wo > 0, "quantized_conv2d: output collapses to zero");
-
-  const int ckk = cin * kh * kw;
-  const std::int64_t owo = static_cast<std::int64_t>(ho) * wo;
-  Tensor out({n, cout, ho, wo});
-
-  // Same per-sample fan-out as the fp32 path. Each sample: fp32 im2col,
-  // elementwise static quantization of the columns, one exact int8 GEMM,
-  // fp32 dequantize + bias. Nothing below depends on the thread partition
-  // or the kernel backend — integer accumulation is associative — so the
-  // output bytes are identical at any thread count and batch width.
-  const float inv_act = 1.0f / quant.act_scale;
-  const float dequant = quant.weight_scale * quant.act_scale;
-  obs::TraceSpan fwd_span("conv2d.forward_s8", "batch", n);
-  util::parallel_for(n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    ConvScratch& s = scratch();
-    for (std::int64_t bidx = b0; bidx < b1; ++bidx) {
-      const float* src = xv.data() + bidx * cin * h * wd;
-      float* dst = out.data() + bidx * cout * owo;
-      s.a.resize(static_cast<std::size_t>(ckk) * owo);
-      s.q.resize(static_cast<std::size_t>(ckk) * owo);
-      s.acc.resize(static_cast<std::size_t>(cout) * owo);
-      note_im2col_bytes(s.a);
-      im2col(src, cin, h, wd, kh, kw, stride, pad, mode, ho, wo, s.a.data());
-      const std::int64_t cols = static_cast<std::int64_t>(ckk) * owo;
-      for (std::int64_t i = 0; i < cols; ++i) {
-        // Saturating symmetric quantization against the calibrated static
-        // range; activations beyond it clamp (standard static PTQ).
-        const long r = std::lrintf(s.a[i] * inv_act);
-        s.q[i] = static_cast<std::int8_t>(
-            std::clamp<long>(r, -127, 127));
-      }
-      linalg::gemm_s8(cout, static_cast<int>(owo), ckk, quant.q.data(), ckk,
-                      s.q.data(), static_cast<int>(owo), s.acc.data(),
-                      static_cast<int>(owo));
-      for (int co = 0; co < cout; ++co) {
-        const float bias = bv.data()[co];
-        const std::int32_t* arow =
-            s.acc.data() + static_cast<std::int64_t>(co) * owo;
-        float* row = dst + static_cast<std::int64_t>(co) * owo;
-        for (std::int64_t i = 0; i < owo; ++i) {
-          row[i] = static_cast<float>(arow[i]) * dequant + bias;
-        }
-      }
-    }
-  });
-
-  return Var(out);
 }
 
 }  // namespace pdnn::nn

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/quant_state.hpp"
 #include "util/check.hpp"
 
 namespace pdnn::nn {
@@ -29,8 +30,7 @@ std::int64_t Module::num_parameters() {
 
 Parameter* Module::register_parameter(std::string name, Tensor init) {
   own_.push_back(std::make_unique<Parameter>(Parameter{
-      std::move(name), Var(std::move(init), /*requires_grad=*/true),
-      /*quant=*/nullptr}));
+      std::move(name), Var(std::move(init), /*requires_grad=*/true)}));
   return own_.back().get();
 }
 
@@ -77,10 +77,6 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
 Var Conv2d::forward(const Var& x) const {
   if (detail::activation_observer_armed()) {
     detail::observe_activation(weight_->name, x.value());
-  }
-  if (weight_->quant != nullptr) {
-    return quantized_conv2d(x, *weight_->quant, weight_->var, bias_->var,
-                            stride_, pad_, pad_mode_);
   }
   return conv2d(x, weight_->var, bias_->var, stride_, pad_, pad_mode_);
 }

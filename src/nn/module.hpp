@@ -11,19 +11,14 @@
 
 #include "nn/autograd.hpp"
 #include "nn/conv.hpp"
-#include "nn/quant_state.hpp"
 #include "util/rng.hpp"
 
 namespace pdnn::nn {
 
-/// A named trainable tensor. `quant` is normally null; loading an int8 v2
-/// artifact attaches the calibrated ParamQuant to each conv weight, which
-/// reroutes that layer's forward through the int8 GEMM (the fp32 tensor
-/// still holds the dequantized weights for layers without an int8 path).
+/// A named trainable tensor.
 struct Parameter {
   std::string name;
   Var var;
-  std::shared_ptr<const ParamQuant> quant;
 };
 
 /// Base class for anything with trainable state.

@@ -1,45 +1,23 @@
-// Per-parameter quantization state and the activation-observer hook.
+// The activation-observer hook: the one touch point the post-training
+// quantization subsystem (src/quant) needs inside the nn layer.
 //
-// These are the two touch points the post-training-quantization subsystem
-// (src/quant) needs inside the nn layer:
-//
-//   * ParamQuant — symmetric per-tensor int8 state a v2 artifact attaches to
-//     a conv weight Parameter. When present, Conv2d::forward routes through
-//     the int8 GEMM (quantized_conv2d below) instead of the fp32 lowering.
-//   * The activation observer — a process-global callback the calibrator
-//     installs while streaming the training set; Conv2d::forward reports
-//     each layer's input absmax (keyed by the weight parameter's dotted
-//     name) so the calibrator can derive static activation scales.
+// The calibrator installs a process-global callback while streaming the
+// training set; Conv2d::forward reports each layer's input absmax (keyed by
+// the weight parameter's dotted name) so the calibrator can derive the
+// static activation scales an int8 artifact records.
 //
 // Living in nn (not src/quant) keeps the dependency graph acyclic: nn knows
-// nothing about artifacts or calibration policy, it only carries the state
-// and fires the hook. The observer costs one relaxed atomic load per conv
-// forward when disarmed — the same discipline as obs::enabled().
+// nothing about artifacts or calibration policy, it only fires the hook.
+// The observer costs one relaxed atomic load per conv forward when disarmed
+// — the same discipline as obs::enabled().
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "nn/autograd.hpp"
-#include "nn/conv.hpp"
+#include "nn/tensor.hpp"
 
 namespace pdnn::nn {
-
-/// Symmetric per-tensor int8 quantization of one conv weight, plus the
-/// calibrated static scale of that layer's input activations.
-///
-///   w   ~= q * weight_scale          (q in [-127, 127])
-///   x_q  = clamp(round(x / act_scale), -127, 127)
-///   y    = (sum q * x_q) * weight_scale * act_scale + bias
-struct ParamQuant {
-  std::vector<std::int8_t> q;  ///< quantized weights, same layout as the
-                               ///< fp32 tensor (cout x cin x kh x kw)
-  float weight_scale = 1.0f;   ///< absmax(w) / 127
-  float act_scale = 1.0f;      ///< absmax(calibration inputs) / 127
-};
 
 /// Install `fn` as the process-global activation observer. Conv2d::forward
 /// calls it with (weight parameter name, absmax of the input tensor) for
@@ -59,14 +37,5 @@ bool activation_observer_armed();
 void observe_activation(const std::string& param_name, const Tensor& x);
 
 }  // namespace detail
-
-/// Quantized conv2d forward: im2col in fp32, columns quantized with the
-/// calibrated static act_scale, int8 x int8 -> int32 GEMM via the kernel
-/// registry, fp32 dequantize + bias. Inference-only — it must run under a
-/// NoGradGuard (a quantized model cannot produce gradients) and returns a
-/// leaf Var. Bit-deterministic at any thread count, batch width, and kernel
-/// backend: quantization is elementwise and the integer GEMM is exact.
-Var quantized_conv2d(const Var& x, const ParamQuant& quant, const Var& w,
-                     const Var& b, int stride, int pad, PadMode mode);
 
 }  // namespace pdnn::nn

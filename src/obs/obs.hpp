@@ -47,7 +47,9 @@ enum class Counter : int {
   kGemmCalls,           ///< gemm_{nn,nt,tn} calls
   kGemmFlops,           ///< 2*m*n*k multiply-add FLOPs summed
   kGemmAvx2Calls,       ///< gemm calls dispatched to the AVX2 backend
-  kGemmS8Calls,         ///< int8 gemm calls (quantized conv lowering)
+  kGemmS8Calls,         ///< retired: int8 artifacts run the fp32 kernels,
+                        ///< so nothing increments it; perfbench still
+                        ///< reports it (as 0)
   kKernelPackedBytes,   ///< bytes staged into packed B panels / conv planes
   kConvIm2colBytesMax,  ///< largest per-thread im2col scratch buffer
   kConvFusedCalls,      ///< conv samples computed by the fused 3x3 path

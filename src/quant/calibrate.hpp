@@ -1,13 +1,12 @@
 // Static activation-range calibration for post-training quantization.
 //
-// Int8 inference needs a *static* scale for each conv layer's input
-// activations (quantizing against a per-batch range would make the output
-// depend on batch composition, breaking the serving layer's determinism
-// contract). The calibrator derives those scales by observation: while an
-// ActivationCalibrator is alive, every Conv2d forward pass reports its
-// input absmax through the nn activation-observer hook, keyed by the conv
-// weight parameter's dotted name; the calibrator folds the per-call maxima
-// into one running absmax per layer.
+// An int8 artifact records a *static* scale for each conv layer's input
+// activations (its "PDNA" table; the loader validates it, inference runs
+// on dequantized fp32 weights). The calibrator derives those scales by
+// observation: while an ActivationCalibrator is alive, every Conv2d
+// forward pass reports its input absmax through the nn activation-observer
+// hook, keyed by the conv weight parameter's dotted name; the calibrator
+// folds the per-call maxima into one running absmax per layer.
 //
 // Intended flow (bench/quantize_artifact.cpp):
 //

@@ -16,8 +16,8 @@ namespace pdnn::quant {
 enum class ParamDtype : std::uint32_t {
   kF32 = 0,   ///< v1: raw float32 weights
   kF16 = 1,   ///< v2: IEEE half storage, expanded to fp32 at load
-  kInt8 = 2,  ///< v2: symmetric per-tensor int8 + fp32 scales; conv layers
-              ///< additionally run the int8 GEMM at inference
+  kInt8 = 2,  ///< v2: symmetric per-tensor int8 + fp32 scales,
+              ///< dequantized to fp32 at load
 };
 
 /// Stable lowercase name ("fp32", "fp16", "int8") for logs and flags.

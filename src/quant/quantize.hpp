@@ -1,11 +1,10 @@
 // Symmetric per-tensor int8 quantization primitives (DESIGN.md §15).
 //
 // Scheme: scale = absmax / 127, q = clamp(round(x / scale), -127, 127),
-// x ~= q * scale. Symmetric (no zero point) keeps the int8 GEMM a plain
-// signed multiply-accumulate with no correction terms, and per-tensor (one
-// scale per weight tensor / one static scale per activation) keeps the
-// dequantize a single fused multiply per output — see DESIGN.md for why
-// per-tensor comes before per-channel here.
+// x ~= q * scale. Symmetric (no zero point) makes dequantization a single
+// multiply, and per-tensor (one scale per weight tensor / one static scale
+// per activation) keeps the scale table one float per tensor — see
+// DESIGN.md for why per-tensor comes before per-channel here.
 #pragma once
 
 #include <cstdint>

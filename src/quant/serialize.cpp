@@ -1,8 +1,6 @@
 #include "quant/serialize.hpp"
 
 #include <cstdint>
-#include <map>
-#include <memory>
 
 #include "quant/half.hpp"
 #include "quant/quantize.hpp"
@@ -106,7 +104,6 @@ void read_f16_block(const std::vector<nn::Parameter*>& params,
     for (std::int64_t i = 0; i < t.numel(); ++i) {
       t.data()[i] = f16_to_f32(half[static_cast<std::size_t>(i)]);
     }
-    p->quant = nullptr;  // fp16 artifacts run the fp32 inference path
   }
 }
 
@@ -145,27 +142,22 @@ void read_int8_block(const std::vector<nn::Parameter*>& params,
                      std::istream& in, const std::string& where) {
   store::check_magic(in, kInt8Magic, where);
   check_count(in, params.size(), where);
-  // First pass: dequantize everything into the fp32 tensors, holding the
-  // int8 payloads until the activation table tells us which layers run the
-  // quantized forward pass.
-  std::vector<QuantizedTensor> held(params.size());
-  for (std::size_t idx = 0; idx < params.size(); ++idx) {
-    nn::Parameter* p = params[idx];
+  std::vector<std::int8_t> q;
+  for (nn::Parameter* p : params) {
     check_name_shape(in, *p, where);
     nn::Tensor& t = p->var.mutable_value();
     const auto encoding = store::read_field<std::uint8_t>(in, where,
                                                           "encoding");
     if (encoding == kEncodingInt8) {
-      QuantizedTensor& qt = held[idx];
-      qt.scale = store::read_field<float>(in, where, "weight scale");
-      PDN_CHECK(qt.scale > 0.0f,
+      const float scale = store::read_field<float>(in, where, "weight scale");
+      PDN_CHECK(scale > 0.0f,
                 "non-positive weight scale for " + p->name + " in " + where);
-      qt.q.resize(static_cast<std::size_t>(t.numel()));
-      in.read(reinterpret_cast<char*>(qt.q.data()),
-              static_cast<std::streamsize>(qt.q.size()));
+      q.resize(static_cast<std::size_t>(t.numel()));
+      in.read(reinterpret_cast<char*>(q.data()),
+              static_cast<std::streamsize>(q.size()));
       PDN_CHECK(in.good(),
                 "truncated int8 data for " + p->name + " in " + where);
-      dequantize(qt.q.data(), t.numel(), qt.scale, t.data());
+      dequantize(q.data(), t.numel(), scale, t.data());
     } else {
       PDN_CHECK(encoding == kEncodingF32,
                 "unknown parameter encoding " + std::to_string(encoding) +
@@ -175,28 +167,17 @@ void read_int8_block(const std::vector<nn::Parameter*>& params,
       PDN_CHECK(in.good(),
                 "truncated fp32 data for " + p->name + " in " + where);
     }
-    p->quant = nullptr;
   }
+  // The activation-scale table is validated but not used: the dequantized
+  // weights run the fp32 inference path.
   store::check_magic(in, kActMagic, where);
   const auto act_count =
       store::read_field<std::uint32_t>(in, where, "activation count");
-  std::map<std::string, float> act_scales;
   for (std::uint32_t i = 0; i < act_count; ++i) {
     const std::string name = read_name(in, where);
     const float scale = store::read_field<float>(in, where, "act scale");
     PDN_CHECK(scale > 0.0f,
               "non-positive activation scale for " + name + " in " + where);
-    act_scales[name] = scale;
-  }
-  for (std::size_t idx = 0; idx < params.size(); ++idx) {
-    if (held[idx].q.empty()) continue;
-    const auto it = act_scales.find(params[idx]->name);
-    if (it == act_scales.end()) continue;  // never observed: fp32 path
-    auto pq = std::make_shared<nn::ParamQuant>();
-    pq->q = std::move(held[idx].q);
-    pq->weight_scale = held[idx].scale;
-    pq->act_scale = it->second;
-    params[idx]->quant = std::move(pq);
   }
 }
 

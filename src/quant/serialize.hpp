@@ -13,11 +13,10 @@
 //       u32 count, then per entry: u32 name_len, name bytes, f32 act_scale
 //
 // Readers walk the module's parameter list in order, verifying each name and
-// shape exactly like nn::load_parameters, and always materialize fp32 values
-// into the parameter tensors (fp16 expands, int8 dequantizes) so the fp32
-// inference path works on any artifact. For int8 parameters that also have a
-// PDNA entry (conv weights observed during calibration), the reader attaches
-// a nn::ParamQuant so Conv2d::forward routes through the int8 GEMM.
+// shape exactly like nn::load_parameters, and materialize fp32 values into
+// the parameter tensors (fp16 expands, int8 dequantizes): both dtypes are
+// storage formats, and every artifact runs the one fp32 inference path. The
+// PDNA table is parsed and validated but not applied.
 #pragma once
 
 #include <istream>
@@ -45,9 +44,9 @@ void write_int8_block(const std::vector<nn::Parameter*>& params,
                       const CalibrationResult& calibration, std::ostream& out,
                       const std::string& where);
 
-/// Read a "PDNQ" block: dequantize everything to fp32 in place, and attach
-/// ParamQuant state (int8 payload + weight/activation scales) to parameters
-/// with an activation-table entry.
+/// Read a "PDNQ" block and its "PDNA" table: dequantize every int8 weight
+/// to fp32 in place (w = q * weight_scale), copy raw fp32 entries as stored,
+/// and check that every activation scale is positive.
 void read_int8_block(const std::vector<nn::Parameter*>& params,
                      std::istream& in, const std::string& where);
 

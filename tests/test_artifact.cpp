@@ -1,7 +1,7 @@
 // PDNB artifact container tests: round-trip bit-identity of predictions,
 // header peeking, and the error paths (truncation, bad magic, tampered
-// dimensions, architecture mismatch) — each failure must name the file and
-// the offending field or parameter.
+// dimensions, channel counts the file cannot hold) — each failure must name
+// the file and the offending field or parameter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -183,34 +183,41 @@ TEST(Artifact, TamperedDimensionShapeMismatchNamesParameter) {
   }
 }
 
-TEST(Artifact, LoadModelRejectsArchitectureMismatch) {
-  TempFile file("artifact_arch.pdnb");
+TEST(Artifact, ChannelCountBeyondFileNamesField) {
+  TempFile file("artifact_huge_c3.pdnb");
   {
     WorstCaseNoiseNet model(tiny_config());
-    core::save_model(model, file.path);
+    core::save_artifact(model, {}, file.path);
+    // c3 sits at byte offset 28. At 65536 the prediction U-Net alone would
+    // need ~154 GB per 3x3 conv, far more than the file holds.
+    std::fstream f(file.path,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(28);
+    const std::int32_t c3 = 65536;
+    f.write(reinterpret_cast<const char*>(&c3), sizeof(c3));
   }
-  ModelConfig other = tiny_config();
-  other.distance_channels = 7;
-  WorstCaseNoiseNet target(other);
   try {
-    core::load_model(target, file.path);
+    core::load_artifact(file.path);
     FAIL() << "expected CheckError";
   } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("architecture mismatch"),
-              std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'c3'"), std::string::npos) << what;
+    EXPECT_NE(what.find(file.path), std::string::npos) << what;
   }
 }
 
-TEST(Artifact, SaveModelShimRoundTrips) {
+TEST(Artifact, DefaultTemporalOptionsRoundTrip) {
   const ModelConfig cfg = tiny_config();
   WorstCaseNoiseNet model(cfg);
-  TempFile file("artifact_shim.pdnb");
-  core::save_model(model, file.path);
+  TempFile file("artifact_defaults.pdnb");
+  core::save_artifact(model, {}, file.path);
 
-  EXPECT_EQ(core::peek_model_config(file.path).distance_channels,
-            cfg.distance_channels);
-  WorstCaseNoiseNet target(cfg);
-  core::load_model(target, file.path);
+  const core::TemporalCompressionOptions defaults;
+  const core::ModelArtifact peeked = core::peek_artifact(file.path);
+  EXPECT_EQ(peeked.config.distance_channels, cfg.distance_channels);
+  EXPECT_EQ(peeked.temporal.rate, defaults.rate);
+  EXPECT_EQ(peeked.temporal.rate_step, defaults.rate_step);
+  const core::ModelArtifact loaded = core::load_artifact(file.path);
 
   const Tensor distance =
       random_tensor({1, cfg.distance_channels, cfg.tile_rows, cfg.tile_cols},
@@ -220,7 +227,7 @@ TEST(Artifact, SaveModelShimRoundTrips) {
   nn::NoGradGuard no_grad;
   EXPECT_TRUE(bytes_equal(
       model.forward(Var(distance), Var(currents)).value(),
-      target.forward(Var(distance), Var(currents)).value()));
+      loaded.model->forward(Var(distance), Var(currents)).value()));
 }
 
 }  // namespace

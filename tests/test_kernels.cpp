@@ -5,7 +5,6 @@
 // The suite name is "Kernels" so the TSan CI leg's regex picks it up.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -268,112 +267,6 @@ TEST(Kernels, Avx2GemmBitStableAcrossThreadCounts) {
   const auto one = run_gemm_with_threads(KernelBackend::kAvx2, 1);
   const auto four = run_gemm_with_threads(KernelBackend::kAvx2, 4);
   EXPECT_TRUE(bitwise_equal(one, four));
-}
-
-// ---------------------------------------------------------------------------
-// Int8 GEMM (quantized conv lowering): exact integer results, so the scalar
-// reference, the AVX2 microkernel, and every thread partition must agree to
-// the byte.
-// ---------------------------------------------------------------------------
-
-std::vector<std::int8_t> random_s8(std::size_t size, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<std::int8_t> v(size);
-  for (std::int8_t& x : v) {
-    const int r = static_cast<int>(rng.uniform() * 255.0) - 127;
-    x = static_cast<std::int8_t>(std::min(r, 127));
-  }
-  return v;
-}
-
-/// Plain nested-loop int32 reference, independent of the kernel layer.
-std::vector<std::int32_t> naive_gemm_s8(int m, int n, int k,
-                                        const std::vector<std::int8_t>& a,
-                                        const std::vector<std::int8_t>& b) {
-  std::vector<std::int32_t> c(static_cast<std::size_t>(m) * n, 0);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (int p = 0; p < k; ++p) {
-        acc += static_cast<std::int32_t>(a[static_cast<std::size_t>(i) * k +
-                                           p]) *
-               static_cast<std::int32_t>(b[static_cast<std::size_t>(p) * n +
-                                           j]);
-      }
-      c[static_cast<std::size_t>(i) * n + j] = acc;
-    }
-  }
-  return c;
-}
-
-std::vector<std::int32_t> run_gemm_s8(KernelBackend backend, int m, int n,
-                                      int k,
-                                      const std::vector<std::int8_t>& a,
-                                      const std::vector<std::int8_t>& b) {
-  ForcedBackend forced(backend);
-  // Poison C: gemm_s8 overwrites (beta = 0 semantics), never accumulates.
-  std::vector<std::int32_t> c(static_cast<std::size_t>(m) * n, -559038737);
-  linalg::gemm_s8(m, n, k, a.data(), k, b.data(), n, c.data(), n);
-  return c;
-}
-
-TEST(Kernels, GemmS8MatchesNaiveReference) {
-  for (const GemmShape& s : kShapes) {
-    const auto a = random_s8(static_cast<std::size_t>(s.m) * s.k, 401);
-    const auto b = random_s8(static_cast<std::size_t>(s.k) * s.n, 402);
-    const auto want = naive_gemm_s8(s.m, s.n, s.k, a, b);
-    const auto got = run_gemm_s8(KernelBackend::kScalar, s.m, s.n, s.k, a, b);
-    EXPECT_EQ(want, got) << "gemm_s8 " << s.m << "x" << s.n << "x" << s.k;
-  }
-}
-
-TEST(Kernels, GemmS8BitIdenticalAcrossBackends) {
-  SKIP_WITHOUT_AVX2();
-  for (const GemmShape& s : kShapes) {
-    const auto a = random_s8(static_cast<std::size_t>(s.m) * s.k, 403);
-    const auto b = random_s8(static_cast<std::size_t>(s.k) * s.n, 404);
-    const auto scalar =
-        run_gemm_s8(KernelBackend::kScalar, s.m, s.n, s.k, a, b);
-    const auto avx2 = run_gemm_s8(KernelBackend::kAvx2, s.m, s.n, s.k, a, b);
-    EXPECT_EQ(scalar, avx2) << "gemm_s8 " << s.m << "x" << s.n << "x" << s.k;
-  }
-}
-
-TEST(Kernels, GemmS8ExtremesNoIntermediateOverflow) {
-  // All-(-127/127) operands at odd k: every vpmaddwd pair sums two maximal
-  // products (the case that rules out a saturating vpmaddubsw formulation),
-  // plus the odd-k scalar tail.
-  const int m = 5, n = 37, k = 301;
-  std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k, 127);
-  std::vector<std::int8_t> b(static_cast<std::size_t>(k) * n, -127);
-  const auto want = naive_gemm_s8(m, n, k, a, b);
-  EXPECT_EQ(want.front(), -127 * 127 * k);
-  const auto scalar = run_gemm_s8(KernelBackend::kScalar, m, n, k, a, b);
-  EXPECT_EQ(want, scalar);
-  if (avx2_available()) {
-    const auto avx2 = run_gemm_s8(KernelBackend::kAvx2, m, n, k, a, b);
-    EXPECT_EQ(want, avx2);
-  }
-}
-
-TEST(Kernels, GemmS8BitStableAcrossThreadCounts) {
-  // 160 rows split into three panels once pooled; integer accumulation makes
-  // any partition exact, this locks the row-panel bookkeeping in.
-  const int m = 160, n = 96, k = 80;
-  const auto a = random_s8(static_cast<std::size_t>(m) * k, 405);
-  const auto b = random_s8(static_cast<std::size_t>(k) * n, 406);
-  const auto want = naive_gemm_s8(m, n, k, a, b);
-  for (const KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
-    if (!linalg::backend_supported(backend)) continue;
-    util::ThreadPool::set_global_threads(1);
-    const auto one = run_gemm_s8(backend, m, n, k, a, b);
-    util::ThreadPool::set_global_threads(4);
-    const auto four = run_gemm_s8(backend, m, n, k, a, b);
-    util::ThreadPool::set_global_threads(0);
-    EXPECT_EQ(want, one) << linalg::backend_name(backend);
-    EXPECT_EQ(one, four) << linalg::backend_name(backend);
-  }
 }
 
 // ---------------------------------------------------------------------------
