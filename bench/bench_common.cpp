@@ -135,11 +135,6 @@ void add_serve_flags(util::ArgParser& args) {
                 "fraction of a design's traffic canaried during a swap");
   args.add_flag("serve-canary-requests", "4",
                 "clean canary comparisons required to promote a swap");
-  args.add_flag("serve-rate", "0",
-                "open-loop starting offered load in req/s (0: half the "
-                "measured serial rate)");
-  args.add_flag("serve-ramp", "4",
-                "open-loop ramp levels (offered load doubles per level)");
   args.add_flag("serve-swap-tolerance-mv", "0",
                 "per-node canary tolerance in mV for every hot swap (0: "
                 "exact bytes, and a swap to another weight dtype such as "
@@ -152,8 +147,6 @@ ServeFlags serve_flags_from_args(const util::ArgParser& args) {
   sf.requests_per_client = args.get_int("serve-requests");
   sf.designs = args.get_int("serve-designs");
   sf.swap = args.get_bool("serve-swap");
-  sf.open_rate = args.get_double("serve-rate");
-  sf.ramp_steps = args.get_int("serve-ramp");
   sf.options.num_shards = args.get_int("serve-shards");
   sf.options.max_batch = args.get_int("serve-batch");
   sf.options.queue_capacity = args.get_int("serve-queue");
@@ -169,7 +162,6 @@ ServeFlags serve_flags_from_args(const util::ArgParser& args) {
             "serve flags: --serve-clients and --serve-requests must be > 0");
   PDN_CHECK(sf.designs > 0 && sf.options.num_shards > 0,
             "serve flags: --serve-designs and --serve-shards must be > 0");
-  PDN_CHECK(sf.ramp_steps > 0, "serve flags: --serve-ramp must be > 0");
   return sf;
 }
 

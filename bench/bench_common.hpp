@@ -103,7 +103,7 @@ std::unique_ptr<store::Store> open_store(const std::string& dir);
 /// Register the serving flags (--serve-clients, --serve-requests,
 /// --serve-shards, --serve-designs, --serve-batch, --serve-queue,
 /// --serve-deadline-ms, --serve-swap, --serve-canary-fraction,
-/// --serve-canary-requests, --serve-rate, --serve-ramp) for drivers that
+/// --serve-canary-requests, --serve-swap-tolerance-mv) for drivers that
 /// embed a serve::NoiseServer fleet.
 void add_serve_flags(util::ArgParser& args);
 
@@ -113,8 +113,6 @@ struct ServeFlags {
   int requests_per_client = 4;  ///< predictions issued by each client
   int designs = 2;              ///< registered designs (mixed traffic)
   bool swap = false;            ///< hot-swap each design mid-run
-  double open_rate = 0.0;       ///< first offered load (req/s); 0 = auto
-  int ramp_steps = 4;           ///< offered-load levels (doubling per step)
   serve::ServeOptions options;  ///< shard/queue/batch/canary configuration
 };
 

@@ -1,30 +1,9 @@
 #include "util/cli.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
-#include "util/check.hpp"
-
 namespace pdnn::util {
-
-namespace {
-
-/// Parse all of `text` as a T; anything else is a CheckError naming --name.
-template <typename T>
-T parse_number(const std::string& name, const std::string& text,
-               const char* kind) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end && std::isfinite(value)) return value;
-  throw CheckError("flag --" + name + ": '" + text + "' is not " + kind +
-                   (ec == std::errc::result_out_of_range ? " (out of range)"
-                                                         : ""));
-}
-
-}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -80,11 +59,11 @@ const std::string& ArgParser::get(const std::string& name) const {
 }
 
 int ArgParser::get_int(const std::string& name) const {
-  return parse_number<int>(name, get(name), "an integer");
+  return parse_number<int>("flag --" + name, get(name), "an integer");
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return parse_number<double>(name, get(name), "a finite number");
+  return parse_number<double>("flag --" + name, get(name), "a finite number");
 }
 
 std::vector<double> ArgParser::get_double_list(const std::string& name) const {
@@ -92,7 +71,8 @@ std::vector<double> ArgParser::get_double_list(const std::string& name) const {
   std::stringstream ss(get(name));
   std::string item;
   while (std::getline(ss, item, ',')) {
-    values.push_back(parse_number<double>(name, item, "a finite number"));
+    values.push_back(
+        parse_number<double>("flag --" + name, item, "a finite number"));
   }
   return values;
 }

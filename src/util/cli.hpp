@@ -5,11 +5,30 @@
 // so every bench binary self-documents with --help.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace pdnn::util {
+
+/// Parse all of `text` as a T with std::from_chars. Garbage, trailing
+/// characters, and out-of-range or non-finite values throw a CheckError that
+/// starts with `what` (a flag or an environment variable) and quotes `text`.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text,
+               const char* kind) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end && std::isfinite(value)) return value;
+  throw CheckError(what + ": '" + text + "' is not " + kind +
+                   (ec == std::errc::result_out_of_range ? " (out of range)"
+                                                         : ""));
+}
 
 /// Declarative command-line parser.
 ///

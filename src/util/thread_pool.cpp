@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "obs/obs.hpp"
+#include "util/cli.hpp"
 
 namespace pdnn::util {
 
@@ -156,8 +157,8 @@ void ThreadPool::worker_loop() {
 }
 
 int ThreadPool::default_threads() {
-  if (const char* env = std::getenv("PDNN_THREADS")) {
-    const int n = std::atoi(env);
+  if (const char* env = std::getenv("PDNN_THREADS"); env && *env) {
+    const int n = parse_number<int>("PDNN_THREADS", env, "an integer");
     if (n >= 1) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();

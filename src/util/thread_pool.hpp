@@ -46,6 +46,8 @@ class ThreadPool {
            const std::function<void(std::int64_t)>& fn);
 
   /// PDNN_THREADS if set to a positive integer, else hardware_concurrency().
+  /// A PDNN_THREADS that is not a whole integer in int range throws a
+  /// CheckError naming the variable; unset, empty or <= 0 means the default.
   static int default_threads();
 
   /// The process-wide pool shared by all parallel layers.

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -14,6 +16,8 @@
 #include "linalg/gemm.hpp"
 #include "nn/conv.hpp"
 #include "nn/ops.hpp"
+#include "scoped_env.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -96,6 +100,32 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   int count = 0;  // no atomics needed: everything runs on this thread
   pool.run(9, [&](std::int64_t) { ++count; });
   EXPECT_EQ(count, 9);
+}
+
+TEST(ThreadPool, DefaultThreadsRejectsMalformedEnv) {
+  // default_threads() is what a pool of size <= 0 asks for, so it must
+  // throw before any thread starts.
+  for (const char* bad : {"8x", "abc", "99999999999"}) {
+    const testutil::ScopedEnv env("PDNN_THREADS", bad);
+    try {
+      const int threads = util::ThreadPool::default_threads();
+      ADD_FAILURE() << "PDNN_THREADS='" << bad << "' gave " << threads;
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("PDNN_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  // Unset, empty and non-positive values fall back to the hardware.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = hw >= 1 ? static_cast<int>(hw) : 1;
+  const char* const unset_values[] = {nullptr, "", "0", "-2"};
+  for (const char* unset : unset_values) {
+    const testutil::ScopedEnv env("PDNN_THREADS", unset);
+    EXPECT_EQ(util::ThreadPool::default_threads(), fallback);
+  }
+  const testutil::ScopedEnv env("PDNN_THREADS", "3");
+  EXPECT_EQ(util::ThreadPool::default_threads(), 3);
 }
 
 TEST(ThreadPool, ReductionPartitionIsThreadCountIndependent) {
