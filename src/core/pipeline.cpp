@@ -12,11 +12,10 @@ WorstCasePipeline::WorstCasePipeline(const pdn::PowerGrid& grid,
     : grid_(grid),
       model_(model),
       options_(options),
-      spatial_(grid),
-      distance_(distance_feature(grid)) {
+      spatial_(grid) {
   nn::NoGradGuard no_grad;
   distance_reduced_ =
-      model_.reduce_distance(nn::Var(distance_)).value();
+      model_.reduce_distance(nn::Var(distance_feature(grid))).value();
 }
 
 PreparedRequest WorstCasePipeline::prepare(

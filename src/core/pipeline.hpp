@@ -85,16 +85,15 @@ class WorstCasePipeline {
                      PredictionTiming* timing = nullptr) const;
 
   const PipelineOptions& options() const { return options_; }
-  const nn::Tensor& distance() const { return distance_; }
 
  private:
   const pdn::PowerGrid& grid_;
   const WorstCaseNoiseNet& model_;
   PipelineOptions options_;
   SpatialCompressor spatial_;
-  nn::Tensor distance_;
   /// Subnet-1 output D~ [1,1,m,n]: depends only on the design and the frozen
-  /// weights, so it is reduced once here and reused by every prediction.
+  /// weights, so it is reduced once here and reused by every prediction. The
+  /// B x m x n distance tensor it is reduced from is not kept.
   nn::Tensor distance_reduced_;
 };
 

@@ -14,7 +14,7 @@ namespace pdnn::linalg {
 
 namespace {
 
-/// Work accounting shared by all three kernels: one call, 2*m*n*k flops.
+/// Work accounting shared by both kernels: one call, 2*m*n*k flops.
 inline void note_gemm(int m, int n, int k) {
   obs::counter_add(obs::Counter::kGemmCalls, 1);
   obs::counter_add(obs::Counter::kGemmFlops,
@@ -28,12 +28,6 @@ void gemm_nn(int m, int n, int k, float alpha, const float* a, int lda,
              const float* b, int ldb, float beta, float* c, int ldc) {
   note_gemm(m, n, k);
   kernels().gemm_nn(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-
-void gemm_nt(int m, int n, int k, float alpha, const float* a, int lda,
-             const float* b, int ldb, float beta, float* c, int ldc) {
-  note_gemm(m, n, k);
-  kernels().gemm_nt(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
 void gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,

@@ -448,7 +448,6 @@ const KernelTable kAvx2Table = {
     KernelBackend::kAvx2,
     avx2_gemm_nn,
     avx2_gemm_tn,
-    scalar_gemm_nt,  // dot-product shape: no contract-preserving vector win
     avx2_conv3x3,
 };
 

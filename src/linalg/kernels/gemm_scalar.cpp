@@ -66,31 +66,10 @@ void scalar_gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,
 
 }  // namespace
 
-void scalar_gemm_nt(int m, int n, int k, float alpha, const float* a, int lda,
-                    const float* b, int ldb, float beta, float* c, int ldc) {
-  for_each_row_panel(m, n, k, [&](int panel) {
-    const int i0 = panel * kMB;
-    const int i1 = std::min(m, i0 + kMB);
-    scale_rows(i1 - i0, n, beta, c + static_cast<std::ptrdiff_t>(i0) * ldc,
-               ldc);
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<std::ptrdiff_t>(j) * ldb;
-      for (int i = i0; i < i1; ++i) {
-        const float* arow = a + static_cast<std::ptrdiff_t>(i) * lda;
-        // Dot product along k: contiguous on both operands.
-        float acc = 0.0f;
-        for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        c[static_cast<std::ptrdiff_t>(i) * ldc + j] += alpha * acc;
-      }
-    }
-  });
-}
-
 const KernelTable kScalarTable = {
     KernelBackend::kScalar,
     scalar_gemm_nn,
     scalar_gemm_tn,
-    scalar_gemm_nt,
     nullptr,  // no fused conv: the scalar path lowers through im2col
 };
 

@@ -62,11 +62,6 @@ void for_each_row_panel(int m, int n, int k, const Body& body) {
 /// The scalar fallback backend (always present).
 extern const KernelTable kScalarTable;
 
-/// The scalar C = alpha * A * B^T + beta * C kernel, shared by both backend
-/// tables: its dot-product shape offers no contract-preserving vector win.
-void scalar_gemm_nt(int m, int n, int k, float alpha, const float* a, int lda,
-                    const float* b, int ldb, float beta, float* c, int ldc);
-
 /// The AVX2 backend's table, or nullptr when the binary was built without
 /// AVX2 support. Defined in gemm_avx2.cpp under both conditions.
 const KernelTable* avx2_table();

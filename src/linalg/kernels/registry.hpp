@@ -93,15 +93,14 @@ struct Conv3x3Args {
 
 using Conv3x3Fn = void (*)(const Conv3x3Args& args);
 
-/// A backend's kernel set. gemm_nt has no vectorized variant (its dot-product
-/// shape gains nothing from the contract-preserving ops), so both backends
-/// share the scalar implementation; conv3x3 is null when the backend has no
+/// A backend's kernel set: the two GEMM shapes every conv pass lowers onto
+/// (forward and weight gradient through gemm_nn, input gradient through
+/// gemm_tn) and the fused 3x3 conv. conv3x3 is null when the backend has no
 /// fused path and callers must lower through im2col.
 struct KernelTable {
   KernelBackend backend = KernelBackend::kScalar;
   GemmFn gemm_nn = nullptr;
   GemmFn gemm_tn = nullptr;
-  GemmFn gemm_nt = nullptr;
   Conv3x3Fn conv3x3 = nullptr;
 };
 

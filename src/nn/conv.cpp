@@ -14,14 +14,35 @@ namespace pdnn::nn {
 
 namespace {
 
+/// The output columns of one kernel tap that read inside a row of `w`
+/// pixels: column ow reads pixel ow * stride - pad + kj, which lies left of
+/// the row for ow < lo, inside it for lo <= ow < hi and right of it for
+/// ow >= hi. Both bounds are clamped to the wo columns there are.
+struct TapSpan {
+  int lo = 0;
+  int hi = 0;
+};
+
+TapSpan tap_span(int w, int wo, int stride, int pad, int kj) {
+  const int left = pad - kj;       // ow * stride < left falls left of the row
+  const int right = w + pad - kj;  // ow * stride < right falls inside it
+  const auto columns_below = [&](int bound) {
+    return bound <= 0 ? 0 : std::min(wo, (bound + stride - 1) / stride);
+  };
+  return {columns_below(left), columns_below(right)};
+}
+
 /// Lower one sample (C x H x W) into columns:
 ///   col[(c*kh+ki)*kw + kj][oh*wo + ow] = src[c][oh*s - p + ki][ow*s - p + kj]
 /// with the boundary handled per `mode`. The column grid (ho x wo) is passed
 /// in explicitly so the same routine serves conv forward and the transposed
-/// convolution's backward, where the grid is the *input* geometry.
+/// convolution's backward, where the grid is the *input* geometry. Each
+/// column row is three straight runs: the left halo, the in-bounds interior
+/// (a copy, strided for stride > 1) and the right halo.
 void im2col(const float* src, int c, int h, int w, int kh, int kw, int stride,
             int pad, PadMode mode, int ho, int wo, float* col) {
   const std::int64_t owo = static_cast<std::int64_t>(ho) * wo;
+  const bool replicate = mode == PadMode::kReplicate;
   for (int ch = 0; ch < c; ++ch) {
     const float* plane = src + static_cast<std::int64_t>(ch) * h * w;
     for (int ki = 0; ki < kh; ++ki) {
@@ -29,32 +50,31 @@ void im2col(const float* src, int c, int h, int w, int kh, int kw, int stride,
         float* dst =
             col +
             (static_cast<std::int64_t>(ch) * kh * kw + ki * kw + kj) * owo;
+        const TapSpan span = tap_span(w, wo, stride, pad, kj);
+        const int inner = span.hi - span.lo;
+        const int iw0 = span.lo * stride - pad + kj;  // first inner pixel
         for (int oh = 0; oh < ho; ++oh) {
-          int ih = oh * stride - pad + ki;
-          bool row_oob = ih < 0 || ih >= h;
-          if (row_oob && mode == PadMode::kReplicate) {
-            ih = std::clamp(ih, 0, h - 1);
-            row_oob = false;
-          }
           float* out_row = dst + static_cast<std::int64_t>(oh) * wo;
-          if (row_oob) {
-            std::fill(out_row, out_row + wo, 0.0f);
-            continue;
+          int ih = oh * stride - pad + ki;
+          if (ih < 0 || ih >= h) {
+            if (!replicate) {
+              std::fill(out_row, out_row + wo, 0.0f);
+              continue;
+            }
+            ih = std::clamp(ih, 0, h - 1);
           }
           const float* in_row = plane + static_cast<std::int64_t>(ih) * w;
-          for (int ow = 0; ow < wo; ++ow) {
-            int iw = ow * stride - pad + kj;
-            if (iw < 0 || iw >= w) {
-              if (mode == PadMode::kReplicate) {
-                iw = std::clamp(iw, 0, w - 1);
-                out_row[ow] = in_row[iw];
-              } else {
-                out_row[ow] = 0.0f;
-              }
-            } else {
-              out_row[ow] = in_row[iw];
+          std::fill(out_row, out_row + span.lo, replicate ? in_row[0] : 0.0f);
+          float* inner_out = out_row + span.lo;
+          if (stride == 1) {
+            for (int t = 0; t < inner; ++t) inner_out[t] = in_row[iw0 + t];
+          } else {
+            for (int t = 0; t < inner; ++t) {
+              inner_out[t] = in_row[iw0 + t * stride];
             }
           }
+          std::fill(out_row + span.hi, out_row + wo,
+                    replicate ? in_row[w - 1] : 0.0f);
         }
       }
     }
@@ -63,10 +83,14 @@ void im2col(const float* src, int c, int h, int w, int kh, int kw, int stride,
 
 /// Adjoint of im2col: scatter-add columns back into the image. Replication
 /// padding accumulates clamped reads into the edge pixels, making this the
-/// exact transpose of the forward lowering.
+/// exact transpose of the forward lowering. Every pixel receives its adds in
+/// ascending column order, as a per-column loop would make them: a row's
+/// left-halo adds into pixel 0 come before its interior adds, and its
+/// right-halo adds into pixel w - 1 after them.
 void col2im_acc(const float* col, int c, int h, int w, int kh, int kw,
                 int stride, int pad, PadMode mode, int ho, int wo, float* dst) {
   const std::int64_t owo = static_cast<std::int64_t>(ho) * wo;
+  const bool replicate = mode == PadMode::kReplicate;
   for (int ch = 0; ch < c; ++ch) {
     float* plane = dst + static_cast<std::int64_t>(ch) * h * w;
     for (int ki = 0; ki < kh; ++ki) {
@@ -74,21 +98,34 @@ void col2im_acc(const float* col, int c, int h, int w, int kh, int kw,
         const float* src =
             col +
             (static_cast<std::int64_t>(ch) * kh * kw + ki * kw + kj) * owo;
+        const TapSpan span = tap_span(w, wo, stride, pad, kj);
+        const int inner = span.hi - span.lo;
+        const int iw0 = span.lo * stride - pad + kj;  // first inner pixel
         for (int oh = 0; oh < ho; ++oh) {
           int ih = oh * stride - pad + ki;
           if (ih < 0 || ih >= h) {
-            if (mode != PadMode::kReplicate) continue;
+            if (!replicate) continue;
             ih = std::clamp(ih, 0, h - 1);
           }
           float* out_row = plane + static_cast<std::int64_t>(ih) * w;
           const float* in_row = src + static_cast<std::int64_t>(oh) * wo;
-          for (int ow = 0; ow < wo; ++ow) {
-            int iw = ow * stride - pad + kj;
-            if (iw < 0 || iw >= w) {
-              if (mode != PadMode::kReplicate) continue;
-              iw = std::clamp(iw, 0, w - 1);
+          if (replicate) {
+            float edge = out_row[0];
+            for (int ow = 0; ow < span.lo; ++ow) edge += in_row[ow];
+            out_row[0] = edge;
+          }
+          const float* inner_in = in_row + span.lo;
+          if (stride == 1) {
+            for (int t = 0; t < inner; ++t) out_row[iw0 + t] += inner_in[t];
+          } else {
+            for (int t = 0; t < inner; ++t) {
+              out_row[iw0 + t * stride] += inner_in[t];
             }
-            out_row[iw] += in_row[ow];
+          }
+          if (replicate) {
+            float edge = out_row[w - 1];
+            for (int ow = span.hi; ow < wo; ++ow) edge += in_row[ow];
+            out_row[w - 1] = edge;
           }
         }
       }
@@ -106,6 +143,7 @@ struct ConvScratch {
   ConvScratch();
   ~ConvScratch();
   std::vector<float> a, b;
+  std::vector<float> lhs_t, dw_t;  ///< accumulate_weight_grad's operands
 };
 
 std::mutex& scratch_mu() {
@@ -148,13 +186,34 @@ inline void note_im2col_bytes(const std::vector<float>& col) {
 
 }  // namespace
 
+void accumulate_weight_grad(int rows, int ckk, std::int64_t k, const float* lhs,
+                            const float* col, float* dw) {
+  std::vector<float>& lhs_t = scratch().lhs_t;
+  std::vector<float>& dw_t = scratch().dw_t;
+  lhs_t.resize(static_cast<std::size_t>(k) * rows);
+  dw_t.resize(static_cast<std::size_t>(ckk) * rows);
+  for (int r = 0; r < rows; ++r) {
+    const float* src = lhs + r * k;
+    for (std::int64_t p = 0; p < k; ++p) lhs_t[p * rows + r] = src[p];
+  }
+  linalg::gemm_nn(ckk, rows, static_cast<int>(k), 1.0f, col,
+                  static_cast<int>(k), lhs_t.data(), rows, 0.0f, dw_t.data(),
+                  rows);
+  for (int r = 0; r < rows; ++r) {
+    float* dst = dw + static_cast<std::int64_t>(r) * ckk;
+    for (int q = 0; q < ckk; ++q) {
+      dst[q] += dw_t[static_cast<std::size_t>(q) * rows + r];
+    }
+  }
+}
+
 void release_conv_scratch() {
   const std::lock_guard<std::mutex> lock(scratch_mu());
   for (ConvScratch* s : scratch_registry()) {
-    s->a.clear();
-    s->a.shrink_to_fit();
-    s->b.clear();
-    s->b.shrink_to_fit();
+    for (std::vector<float>* buffer : {&s->a, &s->b, &s->lhs_t, &s->dw_t}) {
+      buffer->clear();
+      buffer->shrink_to_fit();
+    }
   }
 }
 
@@ -278,9 +337,7 @@ Var conv2d(const Var& x, const Var& w, const Var& b, int stride, int pad,
           im2col(src, cin, h, wd, kh, kw, stride, pad, mode, ho, wo,
                  col.data());
           // dW_chunk += gy_b (Cout x OWO) * col^T (OWO x CKK).
-          linalg::gemm_nt(cout, ckk, static_cast<int>(owo), 1.0f, gy_b,
-                          static_cast<int>(owo), col.data(),
-                          static_cast<int>(owo), 1.0f, dw, ckk);
+          accumulate_weight_grad(cout, ckk, owo, gy_b, col.data(), dw);
         }
         if (need_x) {
           // dcol = W^T (CKK x Cout) * gy_b (Cout x OWO).
@@ -415,10 +472,8 @@ Var conv_transpose2d(const Var& x, const Var& w, const Var& b, int stride,
         }
         if (need_w) {
           // dW_chunk (Cin x CKK) += x (Cin x HW) * col^T (HW x CKK).
-          const float* src = xv.data() + bidx * cin * hw;
-          linalg::gemm_nt(cin, ckk, static_cast<int>(hw), 1.0f, src,
-                          static_cast<int>(hw), col.data(),
-                          static_cast<int>(hw), 1.0f, dw, ckk);
+          accumulate_weight_grad(cin, ckk, hw, xv.data() + bidx * cin * hw,
+                                 col.data(), dw);
         }
       }
     });

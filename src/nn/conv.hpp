@@ -7,6 +7,8 @@
 // same lowering with the operand roles exchanged.
 #pragma once
 
+#include <cstdint>
+
 #include "nn/autograd.hpp"
 
 namespace pdnn::nn {
@@ -34,11 +36,23 @@ Var conv2d(const Var& x, const Var& w, const Var& b, int stride, int pad,
 Var conv_transpose2d(const Var& x, const Var& w, const Var& b, int stride,
                      int pad, int output_padding);
 
-/// Free the im2col scratch capacity of every thread that has run a
-/// convolution (the buffers are thread_local and otherwise hold their
-/// peak size for the thread's lifetime). Call at a quiescent point — e.g.
-/// the end of training — with no conv2d/conv_transpose2d in flight; the
-/// buffers reallocate lazily on the next convolution.
+/// dw (rows x ckk) += lhs (rows x k) * col^T, with col (ckk x k) in im2col
+/// layout: the weight gradient of both convolutions, a GEMM whose second
+/// operand is transposed. It runs as the nn-shaped product
+/// dw_t (ckk x rows) = col * lhs^T into a zeroed per-thread buffer, followed
+/// by one transposed add into dw. Each dw element is therefore its k
+/// products summed in ascending order from +0.0f, then added to dw once --
+/// the same bits as the direct rows x ckk dot products, on either kernel
+/// backend and at any pool size. ckk lies on gemm_nn's row axis, so a large
+/// gradient splits into row panels across the pool.
+void accumulate_weight_grad(int rows, int ckk, std::int64_t k,
+                            const float* lhs, const float* col, float* dw);
+
+/// Free the im2col and weight-gradient scratch capacity of every thread
+/// that has run a convolution (the buffers are thread_local and otherwise
+/// hold their peak size for the thread's lifetime). Call at a quiescent
+/// point — e.g. the end of training — with no conv2d/conv_transpose2d in
+/// flight; the buffers reallocate lazily on the next convolution.
 void release_conv_scratch();
 
 /// Expected output length of conv2d along one spatial axis.

@@ -12,6 +12,7 @@
 
 #include "obs/spec.hpp"
 #include "obs/telemetry.hpp"
+#include "util/cli.hpp"
 
 namespace pdnn::obs {
 
@@ -104,13 +105,22 @@ std::mutex& log_mutex() {
 /// Reads PDNN_TRACE / PDNN_OBS before main() (static init is
 /// single-threaded, so no synchronization hazards). set_trace_path installs
 /// the shutdown flush hooks, so the env-enabled trace is written on exit.
+/// An invalid PDNN_OBS ends the process here with the parse error: a
+/// CheckError escaping a static initializer would reach std::terminate
+/// without a word of what was wrong.
 struct EnvInit {
   EnvInit() {
+    bool obs_on = false;
+    try {
+      obs_on = obs_env_enabled(std::getenv("PDNN_OBS"));
+    } catch (const util::CheckError& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(EXIT_FAILURE);
+    }
     if (const char* path = std::getenv("PDNN_TRACE");
         path != nullptr && *path != '\0') {
       set_trace_path(path);
-    } else if (const char* on = std::getenv("PDNN_OBS");
-               on != nullptr && std::atoi(on) >= 1) {
+    } else if (obs_on) {
       set_enabled(true);
     }
   }
@@ -205,6 +215,11 @@ bool counter_is_gauge(Counter c) {
 
 void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
+}
+
+bool obs_env_enabled(const char* value) {
+  if (value == nullptr || *value == '\0') return false;
+  return util::parse_number<int>("PDNN_OBS", value, "an integer") >= 1;
 }
 
 std::int64_t counter_value(Counter c) {

@@ -44,7 +44,7 @@ enum class Counter : int {
   kCholSolves,          ///< band-Cholesky solve_multi calls
   kCholSolveColumns,    ///< right-hand sides solved (batch widths summed)
   kCholBatchWidthMax,   ///< widest multi-RHS block
-  kGemmCalls,           ///< gemm_{nn,nt,tn} calls
+  kGemmCalls,           ///< gemm_{nn,tn} calls
   kGemmFlops,           ///< 2*m*n*k multiply-add FLOPs summed
   kGemmAvx2Calls,       ///< gemm calls dispatched to the AVX2 backend
   kGemmS8Calls,         ///< retired: int8 artifacts run the fp32 kernels,
@@ -109,6 +109,13 @@ inline bool enabled() {
 /// Turn collection on or off (tests, bench setup). PDNN_TRACE=FILE or
 /// PDNN_OBS=1 in the environment enable it before main().
 void set_enabled(bool on);
+
+/// Whether a PDNN_OBS value turns collection on. Unset (null), empty, 0 or
+/// a negative integer mean off; an integer >= 1 means on. Anything else
+/// (trailing characters, garbage, out of int range) throws a
+/// util::CheckError naming PDNN_OBS and the text. The variable is read
+/// before main(), where such a value stops the process with that message.
+bool obs_env_enabled(const char* value);
 
 /// counter += delta when enabled; no-op (one relaxed branch) otherwise.
 inline void counter_add(Counter c, std::int64_t delta) {

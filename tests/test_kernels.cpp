@@ -2,9 +2,13 @@
 // determinism contract — the scalar and AVX2 backends must produce
 // bit-identical results for every dispatched kernel, at any thread count,
 // through any call path (raw gemm, conv lowering, and end-to-end training).
-// The suite name is "Kernels" so the TSan CI leg's regex picks it up.
+// The conv and deconv backward passes are also pinned to an element-by-element
+// reference of their arithmetic, so a change of summation order fails even
+// when both backends share it. The suite name is "Kernels" so the TSan CI
+// leg's regex picks it up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -12,6 +16,7 @@
 
 #include "linalg/gemm.hpp"
 #include "linalg/kernels/registry.hpp"
+#include "nn/conv.hpp"
 #include "nn/module.hpp"
 #include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
@@ -211,12 +216,38 @@ TEST(Kernels, GemmTnBitIdenticalAcrossBackends) {
 
 TEST(Kernels, GemmNtBitIdenticalAcrossBackends) {
   SKIP_WITHOUT_AVX2();
-  // Both tables share the scalar nt kernel; this locks the sharing in.
-  const auto scalar = run_gemm(linalg::gemm_nt, KernelBackend::kScalar, 17,
-                               23, 31, 1.0f, 0.5f, false);
-  const auto avx2 = run_gemm(linalg::gemm_nt, KernelBackend::kAvx2, 17, 23,
-                             31, 1.0f, 0.5f, false);
-  EXPECT_TRUE(bitwise_equal(scalar, avx2));
+  // The product with a transposed B, C (m x n) += A (m x k) * B^T with B
+  // n x k, is the convolutions' weight gradient; it runs on gemm_nn through
+  // a transposed operand. Both backends must give the bits of each element
+  // summed over p in ascending order from +0.0f, then added to C once.
+  for (const GemmShape& s : kShapes) {
+    const auto size = [](int rows, int cols) {
+      return static_cast<std::size_t>(rows) * cols;
+    };
+    const std::vector<float> a = random_vec(size(s.m, s.k), 101);
+    const std::vector<float> b = random_vec(size(s.n, s.k), 202);
+    const std::vector<float> c0 = random_vec(size(s.m, s.n), 303);
+    std::vector<float> want = c0;
+    for (int i = 0; i < s.m; ++i) {
+      for (int j = 0; j < s.n; ++j) {
+        float sum = 0.0f;
+        for (int p = 0; p < s.k; ++p) {
+          sum += a[static_cast<std::size_t>(i) * s.k + p] *
+                 b[static_cast<std::size_t>(j) * s.k + p];
+        }
+        want[static_cast<std::size_t>(i) * s.n + j] += sum;
+      }
+    }
+    for (const KernelBackend backend :
+         {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+      ForcedBackend forced(backend);
+      std::vector<float> c = c0;
+      nn::accumulate_weight_grad(s.m, s.n, s.k, a.data(), b.data(), c.data());
+      EXPECT_TRUE(bitwise_equal(want, c))
+          << linalg::backend_name(backend) << " " << s.m << "x" << s.n << "x"
+          << s.k;
+    }
+  }
 }
 
 TEST(Kernels, GemmPropagatesNanThroughZeroTerms) {
@@ -330,12 +361,307 @@ TEST(Kernels, ConvForwardNanBitIdenticalAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------------
+// Conv backward bits against a reference of the lowered arithmetic
+// ---------------------------------------------------------------------------
+
+/// Pool size for one scope; restores the default size on exit.
+class PoolThreads {
+ public:
+  explicit PoolThreads(int threads) {
+    util::ThreadPool::set_global_threads(threads);
+  }
+  ~PoolThreads() { util::ThreadPool::set_global_threads(0); }
+  PoolThreads(const PoolThreads&) = delete;
+  PoolThreads& operator=(const PoolThreads&) = delete;
+};
+
+/// Flat index of the image pixel that an im2col entry reads at (ih, iw):
+/// clamped under replication padding, -1 when zero padding reads outside.
+std::int64_t tap_pixel(int ih, int iw, int h, int w, bool replicate) {
+  if (replicate) {
+    ih = std::clamp(ih, 0, h - 1);
+    iw = std::clamp(iw, 0, w - 1);
+  } else if (ih < 0 || ih >= h || iw < 0 || iw >= w) {
+    return -1;
+  }
+  return static_cast<std::int64_t>(ih) * w + iw;
+}
+
+/// A 3x3, pad-1 lowering: column entry (q, p) of a sample reads image pixel
+/// pixel[q * grid + p] of channel q / 9, or nothing when that is -1. The
+/// image is h x w; the column grid (one entry per p) is gh x gw.
+struct Lowering {
+  std::int64_t grid = 0;
+  std::vector<std::int64_t> pixel;
+};
+
+Lowering lower_3x3(int channels, int h, int w, int gh, int gw, int stride,
+                   bool replicate) {
+  Lowering low;
+  low.grid = static_cast<std::int64_t>(gh) * gw;
+  for (int q = 0; q < channels * 9; ++q) {
+    const int ki = q / 3 % 3, kj = q % 3;
+    for (int oh = 0; oh < gh; ++oh) {
+      const int ih = oh * stride - 1 + ki;
+      for (int ow = 0; ow < gw; ++ow) {
+        const int iw = ow * stride - 1 + kj;
+        low.pixel.push_back(tap_pixel(ih, iw, h, w, replicate));
+      }
+    }
+  }
+  return low;
+}
+
+struct ConvGrads {
+  std::vector<float> gx, gw, gb;
+};
+
+bool grads_equal(const ConvGrads& a, const ConvGrads& b) {
+  return bitwise_equal(a.gx, b.gx) && bitwise_equal(a.gw, b.gw) &&
+         bitwise_equal(a.gb, b.gb);
+}
+
+ConvGrads zero_grads(const Tensor& x, const Tensor& w, int bias) {
+  const auto zeros = [](std::int64_t n) {
+    return std::vector<float>(static_cast<std::size_t>(n), 0.0f);
+  };
+  return {zeros(x.numel()), zeros(w.numel()), zeros(bias)};
+}
+
+/// The batch reduction both backward passes share: samples fold into a
+/// fixed number of chunk partials, which fold into the gradients in chunk
+/// order. The bias partial of a sample is its double-precision pixel sum.
+/// `weight_sample(b, dw)` adds sample b's weight gradient into a partial.
+template <typename WeightSample>
+void reduce_batch(int n, int channels, std::int64_t pixels, const float* gy,
+                  std::int64_t wsz, const WeightSample& weight_sample,
+                  ConvGrads& g) {
+  const std::int64_t chunks = util::reduction_chunks(n);
+  for (std::int64_t ci = 0; ci < chunks; ++ci) {
+    const util::ChunkRange r = util::reduction_range(n, chunks, ci);
+    std::vector<float> db(static_cast<std::size_t>(channels), 0.0f);
+    std::vector<float> dw(static_cast<std::size_t>(wsz), 0.0f);
+    for (std::int64_t b = r.begin; b < r.end; ++b) {
+      for (int co = 0; co < channels; ++co) {
+        const float* row = gy + (b * channels + co) * pixels;
+        double acc = 0.0;
+        for (std::int64_t i = 0; i < pixels; ++i) acc += row[i];
+        db[co] += static_cast<float>(acc);
+      }
+      weight_sample(b, dw.data());
+    }
+    for (int co = 0; co < channels; ++co) g.gb[co] += db[co];
+    for (std::int64_t i = 0; i < wsz; ++i) g.gw[i] += dw[i];
+  }
+}
+
+/// conv2d's gradients (3x3, pad 1) computed element by element:
+///   * each dW element sums gy * column over the output pixels in ascending
+///     order from +0.0f, and that sum is added to the chunk partial;
+///   * dX scatters each column entry, itself a sum over output channels in
+///     ascending order from +0.0f, into its (clamped) pixel, column by
+///     column and pixel by pixel in ascending order.
+ConvGrads reference_conv_grads(const Tensor& x, const Tensor& w,
+                               const Tensor& gy, int stride, nn::PadMode mode) {
+  const bool replicate = mode == nn::PadMode::kReplicate;
+  const int n = x.n(), cin = x.c(), h = x.h(), wd = x.w();
+  const int cout = w.n(), ckk = cin * 9;
+  const Lowering low = lower_3x3(cin, h, wd, gy.h(), gy.w(), stride, replicate);
+  const std::int64_t owo = low.grid, hw = static_cast<std::int64_t>(h) * wd;
+  const auto column = [&](std::int64_t b, int q, std::int64_t p) {
+    const std::int64_t px = low.pixel[q * owo + p];
+    return px < 0 ? 0.0f : x.data()[(b * cin + q / 9) * hw + px];
+  };
+  ConvGrads g = zero_grads(x, w, cout);
+  const auto weight_sample = [&](std::int64_t b, float* dw) {
+    for (int co = 0; co < cout; ++co) {
+      const float* gyr = gy.data() + (b * cout + co) * owo;
+      for (int q = 0; q < ckk; ++q) {
+        float sum = 0.0f;
+        for (std::int64_t p = 0; p < owo; ++p) sum += gyr[p] * column(b, q, p);
+        dw[co * ckk + q] += sum;
+      }
+    }
+  };
+  reduce_batch(n, cout, owo, gy.data(), w.numel(), weight_sample, g);
+  for (std::int64_t b = 0; b < n; ++b) {
+    for (int q = 0; q < ckk; ++q) {
+      float* plane = g.gx.data() + (b * cin + q / 9) * hw;
+      for (std::int64_t p = 0; p < owo; ++p) {
+        float dcol = 0.0f;
+        for (int co = 0; co < cout; ++co) {
+          dcol += w.data()[co * ckk + q] * gy.data()[(b * cout + co) * owo + p];
+        }
+        const std::int64_t px = low.pixel[q * owo + p];
+        if (px >= 0) plane[px] += dcol;
+      }
+    }
+  }
+  return g;
+}
+
+/// conv_transpose2d's gradients (3x3, pad 1), element by element over the
+/// zero-padded lowering of gy onto the input grid:
+///   * each dW element sums x * column over the input pixels in ascending
+///     order from +0.0f, and that sum is added to the chunk partial;
+///   * each dX element accumulates W * column over the columns in ascending
+///     order, starting from its zeroed gradient.
+ConvGrads reference_deconv_grads(const Tensor& x, const Tensor& w,
+                                 const Tensor& gy, int stride) {
+  const int n = x.n(), cin = x.c(), h = x.h(), wd = x.w();
+  const int cout = w.c(), ckk = cout * 9;
+  const Lowering low = lower_3x3(cout, gy.h(), gy.w(), h, wd, stride, false);
+  const std::int64_t hw = low.grid;
+  const std::int64_t out_hw = static_cast<std::int64_t>(gy.h()) * gy.w();
+  const auto column = [&](std::int64_t b, int q, std::int64_t p) {
+    const std::int64_t px = low.pixel[q * hw + p];
+    return px < 0 ? 0.0f : gy.data()[(b * cout + q / 9) * out_hw + px];
+  };
+  ConvGrads g = zero_grads(x, w, cout);
+  const auto weight_sample = [&](std::int64_t b, float* dw) {
+    for (int ci = 0; ci < cin; ++ci) {
+      const float* xr = x.data() + (b * cin + ci) * hw;
+      for (int q = 0; q < ckk; ++q) {
+        float sum = 0.0f;
+        for (std::int64_t p = 0; p < hw; ++p) sum += xr[p] * column(b, q, p);
+        dw[ci * ckk + q] += sum;
+      }
+    }
+  };
+  reduce_batch(n, cout, out_hw, gy.data(), w.numel(), weight_sample, g);
+  for (std::int64_t b = 0; b < n; ++b) {
+    for (int ci = 0; ci < cin; ++ci) {
+      float* gxr = g.gx.data() + (b * cin + ci) * hw;
+      for (std::int64_t p = 0; p < hw; ++p) {
+        float acc = gxr[p];
+        for (int q = 0; q < ckk; ++q) {
+          acc += w.data()[ci * ckk + q] * column(b, q, p);
+        }
+        gxr[p] = acc;
+      }
+    }
+  }
+  return g;
+}
+
+Tensor random_tensor(std::vector<int> shape, util::Rng& rng) {
+  Tensor t(std::move(shape));
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = static_cast<float>(rng.normal());
+  }
+  return t;
+}
+
+/// Run op's backward from the output gradient gy under every usable backend
+/// at 1 and 4 pool threads; the gradients it leaves on x, w and b must
+/// memcmp-equal `want` each time.
+template <typename Op>
+void expect_backward_bits(const Op& op, const Tensor& x, const Tensor& w,
+                          const Tensor& b, const Tensor& gy,
+                          const ConvGrads& want) {
+  const auto values = [](const Var& v) {
+    const Tensor& t = v.grad();
+    return std::vector<float>(t.data(), t.data() + t.numel());
+  };
+  std::vector<KernelBackend> backends{KernelBackend::kScalar};
+  if (avx2_available()) backends.push_back(KernelBackend::kAvx2);
+  for (const KernelBackend backend : backends) {
+    for (const int threads : {1, 4}) {
+      ForcedBackend forced(backend);
+      PoolThreads pool(threads);
+      Var vx(x.clone(), true), vw(w.clone(), true), vb(b.clone(), true);
+      const Var y = op(vx, vw, vb);
+      y.node()->grad = gy.clone();
+      y.node()->backward_op(*y.node());
+      const ConvGrads got{values(vx), values(vw), values(vb)};
+      EXPECT_TRUE(grads_equal(want, got))
+          << linalg::backend_name(backend) << ", " << threads << " threads";
+    }
+  }
+}
+
+// The lowering widths the paper's grids and U-Net levels produce, plus the
+// degenerate ones where the halo covers most of a row.
+constexpr int kGradWidths[] = {1, 2, 3, 5, 7, 10, 14, 20, 28, 32};
+
+struct GradChannels {
+  int cin, cout, batch;
+};
+
+// Every count appears as input and as output channels: 1 (the fusion
+// subnet's ends), 8/16/32 (the paper net's widths) and 49 (a bump count, the
+// distance subnet's input). Batch 1 lets the weight-gradient gemm fan out
+// over the pool; batch 2 folds two chunk partials.
+constexpr GradChannels kGradChannels[] = {
+    {1, 8, 2}, {8, 16, 1}, {16, 32, 2}, {32, 49, 1}, {49, 1, 2}};
+
+TEST(Kernels, Conv2dBackwardMatchesReferenceArithmetic) {
+  for (const int wo : kGradWidths) {
+    for (const int stride : {1, 2}) {
+      for (const bool replicate : {true, false}) {
+        // Five output rows: top halo, interior and bottom halo rows.
+        const int h = stride == 1 ? 5 : 10;
+        const int w = stride == 1 ? wo : 2 * wo - wo % 2;
+        const nn::PadMode mode =
+            replicate ? nn::PadMode::kReplicate : nn::PadMode::kZero;
+        for (const GradChannels& ch : kGradChannels) {
+          SCOPED_TRACE(testing::Message()
+                       << "conv2d " << ch.cin << "->" << ch.cout << " batch "
+                       << ch.batch << " wo " << wo << " stride " << stride
+                       << (replicate ? " replicate" : " zero"));
+          util::Rng rng(1000 * wo + 10 * stride + ch.cin);
+          const Tensor x = random_tensor({ch.batch, ch.cin, h, w}, rng);
+          const Tensor wt = random_tensor({ch.cout, ch.cin, 3, 3}, rng);
+          const Tensor b = random_tensor({ch.cout}, rng);
+          const Tensor gy = random_tensor({ch.batch, ch.cout, 5, wo}, rng);
+          const auto op = [&](const Var& vx, const Var& vw, const Var& vb) {
+            return nn::conv2d(vx, vw, vb, stride, 1, mode);
+          };
+          const ConvGrads want = reference_conv_grads(x, wt, gy, stride, mode);
+          expect_backward_bits(op, x, wt, b, gy, want);
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, ConvTranspose2dBackwardMatchesReferenceArithmetic) {
+  // The deconv lowers its output gradient onto its input grid, so the input
+  // width is the lowering width here. Stride 2 is the paper net's upsampler
+  // (output padding 1); stride 1 keeps the size.
+  for (const int w : kGradWidths) {
+    for (const int stride : {1, 2}) {
+      const int out_pad = stride - 1;
+      const int h = 5;
+      const int ho = nn::conv_transpose_out_size(h, 3, stride, 1, out_pad);
+      const int wo = nn::conv_transpose_out_size(w, 3, stride, 1, out_pad);
+      for (const GradChannels& ch : kGradChannels) {
+        SCOPED_TRACE(testing::Message()
+                     << "conv_transpose2d " << ch.cin << "->" << ch.cout
+                     << " batch " << ch.batch << " w " << w << " stride "
+                     << stride);
+        util::Rng rng(2000 * w + 10 * stride + ch.cin);
+        const Tensor x = random_tensor({ch.batch, ch.cin, h, w}, rng);
+        const Tensor wt = random_tensor({ch.cin, ch.cout, 3, 3}, rng);
+        const Tensor b = random_tensor({ch.cout}, rng);
+        const Tensor gy = random_tensor({ch.batch, ch.cout, ho, wo}, rng);
+        const auto op = [&](const Var& vx, const Var& vw, const Var& vb) {
+          return nn::conv_transpose2d(vx, vw, vb, stride, 1, out_pad);
+        };
+        const ConvGrads want = reference_deconv_grads(x, wt, gy, stride);
+        expect_backward_bits(op, x, wt, b, gy, want);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: trained weights bit-identical across backends
 // ---------------------------------------------------------------------------
 
 /// Train a small two-conv net (stride 1 then stride 2, the paper net's two
 /// conv flavors) for a few Adam steps from a fixed seed; return every
-/// parameter value. Forward hits the fused path, backward the tn/nt kernels.
+/// parameter value. Forward hits the fused path, backward the nn/tn kernels.
 std::vector<float> train_small_net(KernelBackend backend) {
   ForcedBackend forced(backend);
   util::Rng rng(47);

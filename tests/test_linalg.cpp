@@ -1,4 +1,5 @@
-// Unit + property tests for the GEMM kernels: every variant is checked
+// Unit + property tests for the GEMM kernels: every variant, and the
+// transposed-B product the conv weight gradient builds on gemm_nn, is checked
 // against a naive reference over a parameterized sweep of shapes.
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "linalg/gemm.hpp"
+#include "nn/conv.hpp"
 #include "util/rng.hpp"
 
 namespace pdnn {
@@ -58,14 +60,15 @@ TEST_P(GemmShapes, NnMatchesReference) {
 }
 
 TEST_P(GemmShapes, NtMatchesReference) {
+  // C += A * B^T, the convolutions' weight gradient (alpha 1, beta 1).
   const auto [m, n, k] = GetParam();
   util::Rng rng(43);
   const auto a = random_matrix(m, k, rng);
   const auto b = random_matrix(n, k, rng);  // B is N x K for NT
   auto c = random_matrix(m, n, rng);
   auto expected = c;
-  linalg::gemm_nt(m, n, k, 0.7f, a.data(), k, b.data(), k, 1.0f, c.data(), n);
-  reference_gemm(false, true, m, n, k, 0.7f, a, b, 1.0f, expected);
+  nn::accumulate_weight_grad(m, n, k, a.data(), b.data(), c.data());
+  reference_gemm(false, true, m, n, k, 1.0f, a, b, 1.0f, expected);
   for (std::size_t i = 0; i < c.size(); ++i) {
     ASSERT_NEAR(c[i], expected[i], 1e-3f) << "index " << i;
   }

@@ -5,6 +5,7 @@
 // the telemetry sinks (metrics snapshotter, Prometheus exposition, flight
 // recorder). The Hist*/Telemetry* suites are named for the TSan CI regex.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cctype>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -275,6 +277,48 @@ class JsonValidator {
   const std::string& s_;
   std::size_t pos_ = 0;
 };
+
+// --- PDNN_OBS --------------------------------------------------------------
+
+TEST(ObsEnv, UnsetEmptyZeroMeanOffAndPositiveIntegersOn) {
+  EXPECT_FALSE(obs::obs_env_enabled(nullptr));
+  EXPECT_FALSE(obs::obs_env_enabled(""));
+  EXPECT_FALSE(obs::obs_env_enabled("0"));
+  EXPECT_FALSE(obs::obs_env_enabled("-3"));
+  EXPECT_TRUE(obs::obs_env_enabled("1"));
+  EXPECT_TRUE(obs::obs_env_enabled("12"));
+}
+
+TEST(ObsEnv, RejectsAnythingButAWholeIntegerNamingTheVariable) {
+  for (const char* text : {"1x", "abc", "99999999999", " 1", "1.0"}) {
+    try {
+      obs::obs_env_enabled(text);
+      ADD_FAILURE() << "PDNN_OBS='" << text << "' was accepted";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("PDNN_OBS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + text + "'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(ObsEnv, InvalidValueStopsTheProcessBeforeMainWithTheParseError) {
+  // PDNN_OBS is read by a static initializer, so the check needs a fresh
+  // process: this test binary, listing its tests under a bad value.
+  const std::string self = std::filesystem::read_symlink("/proc/self/exe");
+  const std::string cmd = "PDNN_OBS=1x '" + self + "' --gtest_list_tests 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+  const int status = ::pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) != 0) << status;
+  EXPECT_NE(output.find("PDNN_OBS: '1x' is not an integer"), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("ObsEnv."), std::string::npos) << output;
+}
 
 // --- Counters --------------------------------------------------------------
 

@@ -177,12 +177,13 @@ TEST(ParallelGemm, NnBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelGemm, NtBitIdenticalAcrossThreadCounts) {
-  // B is N x K for the NT variant.
-  const auto call = [](int m, int n, int k, float alpha,
-                       const std::vector<float>& a, const std::vector<float>& b,
-                       float beta, std::vector<float>& c) {
-    linalg::gemm_nt(m, n, k, alpha, a.data(), k, b.data(), k, beta, c.data(),
-                    n);
+  // C += A * B^T with B N x K, the convolutions' weight gradient: it runs as
+  // a gemm_nn with N on the row axis, so the N = 144 rows split into panels.
+  // The product has alpha 1 and beta 1, so run_gemm's factors are unused.
+  const auto call = [](int m, int n, int k, float, const std::vector<float>& a,
+                       const std::vector<float>& b, float,
+                       std::vector<float>& c) {
+    nn::accumulate_weight_grad(m, n, k, a.data(), b.data(), c.data());
   };
   const auto c1 = run_gemm(call, 1, 192, 144, 160);
   for (int threads : {2, 4}) {
