@@ -1,6 +1,11 @@
 // AVX2 kernel backend: register-blocked GEMM microkernels over packed B
 // panels, and a fused 3x3 convolution that skips im2col for the paper net's
-// stride-1/stride-2 shapes.
+// stride-1/stride-2 shapes. The fused conv has one microkernel at every grid
+// width: a block of 4 output channels x 2 output rows (1 channel x 8 rows
+// for the cout % 4 remainder) x 8 columns keeps 8 accumulators, and a masked
+// store ends a row whose width is not a multiple of 8. Stride-2 input rows
+// are split into even and odd columns when they are staged, so every tap
+// load is 8 contiguous floats.
 //
 // Bit-identity with the scalar fallback is a hard contract (tests and the CI
 // kernel-dispatch job memcmp the two backends): every output element
@@ -19,8 +24,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -60,8 +67,9 @@ std::vector<float>& pack_scratch() {
   return buffer;
 }
 
-/// Per-thread scratch for the alpha-scaled A panel (each panel worker packs
-/// its own rows, so this is per worker, not per gemm call).
+/// Per-thread scratch for the alpha-scaled A panel of gemm_tn, or of gemm_nn
+/// with alpha != 1 (each panel worker packs its own rows, so this is per
+/// worker, not per gemm call).
 std::vector<float>& a_scratch() {
   thread_local std::vector<float> buffer;
   return buffer;
@@ -225,17 +233,30 @@ void avx2_gemm(const Access& access, int m, int n, int k, float alpha,
                ldc);
     // Stage this panel's A rows prescaled by alpha: aip = alpha * a[i][p] is
     // the scalar kernel's single rounding, computed once per (i, p) here
-    // instead of once per (i, p, column group) in the inner loops.
-    std::vector<float>& ascaled = a_scratch();
-    ascaled.resize(static_cast<std::size_t>(i1 - i0) *
-                   static_cast<std::size_t>(k));
-    for (int i = i0; i < i1; ++i) {
-      float* row =
-          ascaled.data() + static_cast<std::ptrdiff_t>(i - i0) * k;
-      for (int p = 0; p < k; ++p) row[p] = alpha * access.at(i, p);
+    // instead of once per (i, p, column group) in the inner loops. A
+    // row-major A with alpha 1 needs no staging: 1.0f * a is a, bit for bit,
+    // so its rows are read in place.
+    const float* arows = nullptr;
+    std::ptrdiff_t astride = k;
+    if constexpr (std::is_same_v<Access, NnAccess>) {
+      if (alpha == 1.0f) {
+        arows = access.a + static_cast<std::ptrdiff_t>(i0) * access.lda;
+        astride = access.lda;
+      }
+    }
+    if (arows == nullptr) {
+      std::vector<float>& ascaled = a_scratch();
+      ascaled.resize(static_cast<std::size_t>(i1 - i0) *
+                     static_cast<std::size_t>(k));
+      for (int i = i0; i < i1; ++i) {
+        float* row =
+            ascaled.data() + static_cast<std::ptrdiff_t>(i - i0) * k;
+        for (int p = 0; p < k; ++p) row[p] = alpha * access.at(i, p);
+      }
+      arows = ascaled.data();
     }
     const auto arow = [&](int i) {
-      return ascaled.data() + static_cast<std::ptrdiff_t>(i - i0) * k;
+      return arows + static_cast<std::ptrdiff_t>(i - i0) * astride;
     };
     int jt = 0;
     for (; jt + 4 <= tiles; jt += 4) {
@@ -297,151 +318,174 @@ void avx2_gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,
 // Fused 3x3 convolution (pad 1, stride 1 or 2)
 // ---------------------------------------------------------------------------
 
-/// Padded input planes: each channel is staged once as (h + 2) rows of
-/// kPadSlack-extended width with the pad-1 halo materialized (replicated
-/// edge pixels or zeros — the exact values im2col would produce), so the
-/// compute loops need no bounds handling and vector loads may safely touch
-/// the zeroed slack lanes the deinterleave discards.
+/// Zeroed floats after each run of padded columns (the row at stride 1,
+/// each half row at stride 2). The loads of a partial last column block read
+/// up to 7 floats past a run's end, into lanes that are never stored.
 constexpr int kPadSlack = 8;
 
-std::vector<float>& conv_scratch() {
-  thread_local std::vector<float> buffer;
+/// One fused call's staged input. Each channel is staged once as h + 2
+/// padded rows of wp floats with the pad-1 halo materialized (replicated
+/// edge pixels or zeros — the exact values im2col would produce), so the
+/// compute loops need no bounds handling. At stride 1 padded column j sits
+/// at slot j. At stride 2 the even columns fill the first half of the row
+/// in order and the odd ones the second half, so at either stride the pixels
+/// one tap reads for 8 consecutive outputs are 8 consecutive floats.
+/// tap_offset holds, for tap t = (channel * 3 + ki) * 3 + kj, the slot of
+/// its pixel for output (0, 0); output (oh, ow) adds oh * stride * wp + ow.
+struct PaddedInput {
+  std::vector<float> planes;
+  std::vector<std::ptrdiff_t> tap_offset;
+  int wp = 0;  ///< floats per padded row
+};
+
+PaddedInput& conv_scratch() {
+  thread_local PaddedInput buffer;
   return buffer;
 }
 
-void pack_padded_planes(const Conv3x3Args& args, float* pad, int wp) {
+void pack_padded_planes(const Conv3x3Args& args, PaddedInput& in) {
   const int h = args.h, w = args.w;
+  // Stride 2: the w + 2 padded columns are (w + 3) / 2 even ones and
+  // (w + 2) / 2 odd ones; each half row has room for the larger count.
+  const int half = (w + 3) / 2 + kPadSlack;
+  const int wp = args.stride == 1 ? w + 2 + kPadSlack : 2 * half;
+  const std::ptrdiff_t plane_stride = static_cast<std::ptrdiff_t>(h + 2) * wp;
+  in.wp = wp;
+  in.planes.resize(static_cast<std::size_t>(args.cin * plane_stride));
+  in.tap_offset.resize(static_cast<std::size_t>(args.cin) * 9);
+  const __m256i pairs = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
   for (int ch = 0; ch < args.cin; ++ch) {
     const float* plane =
         args.src + static_cast<std::ptrdiff_t>(ch) * h * w;
-    float* dst = pad + static_cast<std::ptrdiff_t>(ch) * (h + 2) * wp;
+    float* dst = in.planes.data() + ch * plane_stride;
     for (int r = -1; r <= h; ++r) {
       float* out = dst + static_cast<std::ptrdiff_t>(r + 1) * wp;
       const bool oob = r < 0 || r >= h;
       if (oob && !args.replicate) {
-        for (int j = 0; j < wp; ++j) out[j] = 0.0f;
+        std::fill(out, out + wp, 0.0f);
         continue;
       }
       const int ir = oob ? (r < 0 ? 0 : h - 1) : r;
-      const float* in = plane + static_cast<std::ptrdiff_t>(ir) * w;
-      out[0] = args.replicate ? in[0] : 0.0f;
-      for (int j = 0; j < w; ++j) out[j + 1] = in[j];
-      out[w + 1] = args.replicate ? in[w - 1] : 0.0f;
-      for (int j = w + 2; j < wp; ++j) out[j] = 0.0f;
+      const float* row = plane + static_cast<std::ptrdiff_t>(ir) * w;
+      const float left = args.replicate ? row[0] : 0.0f;
+      const float right = args.replicate ? row[w - 1] : 0.0f;
+      if (args.stride == 1) {
+        out[0] = left;
+        std::copy(row, row + w, out + 1);
+        out[w + 1] = right;
+        std::fill(out + w + 2, out + wp, 0.0f);
+        continue;
+      }
+      // Padded column j + 1 is row[j]: even j go to the odd half, odd j to
+      // the even half after the left halo.
+      float* even = out;
+      float* odd = out + half;
+      even[0] = left;
+      int j = 0;
+      for (; j + 16 <= w; j += 16) {
+        const __m256 v0 = _mm256_loadu_ps(row + j);
+        const __m256 v1 = _mm256_loadu_ps(row + j + 8);
+        _mm256_storeu_ps(odd + j / 2, _mm256_permutevar8x32_ps(
+            _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0)), pairs));
+        _mm256_storeu_ps(even + 1 + j / 2, _mm256_permutevar8x32_ps(
+            _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(3, 1, 3, 1)), pairs));
+      }
+      for (; j < w; ++j) (j % 2 == 0 ? odd : even + 1)[j / 2] = row[j];
+      (w % 2 == 0 ? odd : even + 1)[w / 2] = right;
+      std::fill(even + (w + 3) / 2, odd, 0.0f);
+      std::fill(odd + (w + 2) / 2, out + wp, 0.0f);
+    }
+    for (int tap = 0; tap < 9; ++tap) {
+      const int kj = tap % 3;
+      in.tap_offset[static_cast<std::size_t>(ch) * 9 + tap] =
+          ch * plane_stride + tap / 3 * wp +
+          (args.stride == 1 ? kj : kj / 2 + kj % 2 * half);
     }
   }
 }
 
-/// Load 8 outputs' worth of input pixels for one tap: contiguous for stride
-/// 1; every other element (deinterleaved from 16 lanes) for stride 2.
-template <int kStride>
-__m256 load_taps(const float* q) {
-  if constexpr (kStride == 1) {
-    return _mm256_loadu_ps(q);
-  } else {
-    const __m256 v0 = _mm256_loadu_ps(q);
-    const __m256 v1 = _mm256_loadu_ps(q + 8);
-    const __m256 t = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0));
-    return _mm256_permutevar8x32_ps(
-        t, _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7));
+/// The register block: output channels [co, co + kChannels) x output rows
+/// [oh, oh + kRows), 8 columns at a time from column 0 to wo. Each of the
+/// kChannels * kRows accumulators starts at +0.0f and takes its taps in
+/// ascending (channel, ki, kj) order — the im2col column order — as a
+/// multiply then an add, so every output element repeats the lowered
+/// gemm_nn's operation sequence bit for bit. A tap's input vector is loaded
+/// once per row and shared by all kChannels channels. The last column block
+/// may be partial: a masked store keeps its lanes past wo out of the output.
+template <int kChannels, int kRows>
+void conv_block(const Conv3x3Args& args, const PaddedInput& in, int co,
+                int oh) {
+  const int taps = args.cin * 9;
+  const float* wco = args.weights + static_cast<std::ptrdiff_t>(co) * taps;
+  const std::ptrdiff_t out_plane =
+      static_cast<std::ptrdiff_t>(args.ho) * args.wo;
+  float* out = args.dst + co * out_plane +
+               static_cast<std::ptrdiff_t>(oh) * args.wo;
+  const std::ptrdiff_t row_step =
+      static_cast<std::ptrdiff_t>(args.stride) * in.wp;
+  const float* window = in.planes.data() + oh * row_step;
+  const std::ptrdiff_t* tap_offset = in.tap_offset.data();
+  for (int ow = 0; ow < args.wo; ow += 8) {
+    __m256 acc[kChannels][kRows];
+    for (int c = 0; c < kChannels; ++c) {
+      for (int r = 0; r < kRows; ++r) acc[c][r] = _mm256_setzero_ps();
+    }
+    for (int t = 0; t < taps; ++t) {
+      const float* q = window + ow + tap_offset[t];
+      __m256 x[kRows];
+      for (int r = 0; r < kRows; ++r) x[r] = _mm256_loadu_ps(q + r * row_step);
+      for (int c = 0; c < kChannels; ++c) {
+        const __m256 wt = _mm256_broadcast_ss(wco + c * taps + t);
+        for (int r = 0; r < kRows; ++r) {
+          acc[c][r] = _mm256_add_ps(acc[c][r], _mm256_mul_ps(wt, x[r]));
+        }
+      }
+    }
+    const int width = args.wo - ow;
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(width), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    for (int c = 0; c < kChannels; ++c) {
+      for (int r = 0; r < kRows; ++r) {
+        float* dst = out + c * out_plane +
+                     static_cast<std::ptrdiff_t>(r) * args.wo + ow;
+        if (width >= 8) {
+          _mm256_storeu_ps(dst, acc[c][r]);
+        } else {
+          _mm256_maskstore_ps(dst, mask, acc[c][r]);
+        }
+      }
+    }
   }
 }
 
-/// One output row for one output channel. Taps accumulate in ascending
-/// (channel, ki, kj) order — the im2col column order — so every output
-/// element's operation sequence matches the lowered gemm_nn bit for bit.
-template <int kStride>
-void conv_row(const Conv3x3Args& args, const float* pad, int wp,
-              const float* wco, int oh, float* out) {
-  const int wo = args.wo;
-  const std::ptrdiff_t plane_stride =
-      static_cast<std::ptrdiff_t>(args.h + 2) * wp;
-  int ow = 0;
-  for (; ow + 32 <= wo; ow += 32) {
-    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-    const float* wtap = wco;
-    for (int ch = 0; ch < args.cin; ++ch) {
-      const float* chp = pad + ch * plane_stride;
-      for (int ki = 0; ki < 3; ++ki) {
-        const float* row =
-            chp + static_cast<std::ptrdiff_t>(oh * kStride + ki) * wp;
-        for (int kj = 0; kj < 3; ++kj) {
-          const __m256 t = _mm256_set1_ps(*wtap++);
-          const float* q = row + ow * kStride + kj;
-          a0 = _mm256_add_ps(a0, _mm256_mul_ps(t, load_taps<kStride>(q)));
-          a1 = _mm256_add_ps(
-              a1, _mm256_mul_ps(t, load_taps<kStride>(q + 8 * kStride)));
-          a2 = _mm256_add_ps(
-              a2, _mm256_mul_ps(t, load_taps<kStride>(q + 16 * kStride)));
-          a3 = _mm256_add_ps(
-              a3, _mm256_mul_ps(t, load_taps<kStride>(q + 24 * kStride)));
-        }
-      }
-    }
-    _mm256_storeu_ps(out + ow + 0, a0);
-    _mm256_storeu_ps(out + ow + 8, a1);
-    _mm256_storeu_ps(out + ow + 16, a2);
-    _mm256_storeu_ps(out + ow + 24, a3);
+/// Output rows [oh, ho) of channels [co, co + kChannels): blocks of kRows
+/// rows, then what is left in blocks of kRows / 2, kRows / 4, ..., 1.
+template <int kChannels, int kRows>
+void conv_rows(const Conv3x3Args& args, const PaddedInput& in, int co,
+               int oh) {
+  for (; oh + kRows <= args.ho; oh += kRows) {
+    conv_block<kChannels, kRows>(args, in, co, oh);
   }
-  for (; ow + 8 <= wo; ow += 8) {
-    __m256 a0 = _mm256_setzero_ps();
-    const float* wtap = wco;
-    for (int ch = 0; ch < args.cin; ++ch) {
-      const float* chp = pad + ch * plane_stride;
-      for (int ki = 0; ki < 3; ++ki) {
-        const float* row =
-            chp + static_cast<std::ptrdiff_t>(oh * kStride + ki) * wp;
-        for (int kj = 0; kj < 3; ++kj) {
-          const __m256 t = _mm256_set1_ps(*wtap++);
-          const __m256 in = load_taps<kStride>(row + ow * kStride + kj);
-          a0 = _mm256_add_ps(a0, _mm256_mul_ps(t, in));
-        }
-      }
-    }
-    _mm256_storeu_ps(out + ow, a0);
-  }
-  for (; ow < wo; ++ow) {
-    float accv = 0.0f;
-    const float* wtap = wco;
-    for (int ch = 0; ch < args.cin; ++ch) {
-      const float* chp = pad + ch * plane_stride;
-      for (int ki = 0; ki < 3; ++ki) {
-        const float* row =
-            chp + static_cast<std::ptrdiff_t>(oh * kStride + ki) * wp;
-        for (int kj = 0; kj < 3; ++kj) {
-          accv += *wtap++ * row[ow * kStride + kj];
-        }
-      }
-    }
-    out[ow] = accv;
-  }
+  if constexpr (kRows > 1) conv_rows<kChannels, kRows / 2>(args, in, co, oh);
+}
+
+/// Every output: 4-channel x 2-row blocks, then the cout % 4 remaining
+/// channels one at a time in 8-row blocks. Either way a block holds 8
+/// accumulators, enough independent add chains to keep both FP ports busy.
+void conv_planes(const Conv3x3Args& args, const PaddedInput& in) {
+  const int quads = args.cout / 4 * 4;
+  for (int co = 0; co < quads; co += 4) conv_rows<4, 2>(args, in, co, 0);
+  for (int co = quads; co < args.cout; ++co) conv_rows<1, 8>(args, in, co, 0);
 }
 
 void avx2_conv3x3(const Conv3x3Args& args) {
   obs::counter_add(obs::Counter::kConvFusedCalls, 1);
-  const int wp = args.w + 2 + kPadSlack;
-  std::vector<float>& pad = conv_scratch();
-  pad.resize(static_cast<std::size_t>(args.cin) * (args.h + 2) * wp);
-  pack_padded_planes(args, pad.data(), wp);
+  PaddedInput& in = conv_scratch();
+  pack_padded_planes(args, in);
   obs::counter_add(
       obs::Counter::kKernelPackedBytes,
-      static_cast<std::int64_t>(pad.size() * sizeof(float)));
-
-  for (int co = 0; co < args.cout; ++co) {
-    const float* wco = args.weights + static_cast<std::ptrdiff_t>(co) *
-                                          args.cin * 9;
-    float* out_plane =
-        args.dst + static_cast<std::ptrdiff_t>(co) * args.ho * args.wo;
-    for (int oh = 0; oh < args.ho; ++oh) {
-      float* out = out_plane + static_cast<std::ptrdiff_t>(oh) * args.wo;
-      if (args.stride == 1) {
-        conv_row<1>(args, pad.data(), wp, wco, oh, out);
-      } else {
-        conv_row<2>(args, pad.data(), wp, wco, oh, out);
-      }
-    }
-  }
+      static_cast<std::int64_t>(in.planes.size() * sizeof(float)));
+  conv_planes(args, in);
 }
 
 const KernelTable kAvx2Table = {

@@ -265,6 +265,12 @@ Var conv2d(const Var& x, const Var& w, const Var& b, int stride, int pad,
         fargs.stride = stride;
         fargs.replicate = mode == PadMode::kReplicate;
         fused = linalg::conv3x3_fused(fargs);
+        if (fused) {
+          // The fused path bypasses gemm_nn's accounting; count the same
+          // 2*m*n*k the lowered gemm would have.
+          obs::counter_add(obs::Counter::kConvFusedFlops,
+                           2 * static_cast<std::int64_t>(cout) * ckk * owo);
+        }
       }
       if (!fused) {
         std::vector<float>& col = scratch_a();

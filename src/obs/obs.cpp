@@ -175,6 +175,7 @@ constexpr std::array<CounterSpec, kCounterCount> kCounterSpecs = {{
     {"kernel.packed_bytes", false},
     {"conv.im2col_bytes_max", true},
     {"conv.fused", false},
+    {"conv.fused_flops", false},
     {"sim.traces", false},
     {"sim.steps", false},
     {"sim.batch_width_max", true},

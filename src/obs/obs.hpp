@@ -53,6 +53,7 @@ enum class Counter : int {
   kKernelPackedBytes,   ///< bytes staged into packed B panels / conv planes
   kConvIm2colBytesMax,  ///< largest per-thread im2col scratch buffer
   kConvFusedCalls,      ///< conv samples computed by the fused 3x3 path
+  kConvFusedFlops,      ///< 2*cout*cin*9*ho*wo FLOPs of those samples
   kSimTraces,           ///< transient traces solved
   kSimSteps,            ///< backward-Euler steps across all traces
   kSimBatchWidthMax,    ///< widest lockstep transient batch

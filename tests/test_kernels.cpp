@@ -12,14 +12,18 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <utility>
 #include <vector>
 
+#include "core/model.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/kernels/registry.hpp"
 #include "nn/conv.hpp"
 #include "nn/module.hpp"
 #include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -40,6 +44,17 @@ class ForcedBackend {
   ~ForcedBackend() { linalg::clear_forced_backend(); }
   ForcedBackend(const ForcedBackend&) = delete;
   ForcedBackend& operator=(const ForcedBackend&) = delete;
+};
+
+/// Pool size for one scope; restores the default size on exit.
+class PoolThreads {
+ public:
+  explicit PoolThreads(int threads) {
+    util::ThreadPool::set_global_threads(threads);
+  }
+  ~PoolThreads() { util::ThreadPool::set_global_threads(0); }
+  PoolThreads(const PoolThreads&) = delete;
+  PoolThreads& operator=(const PoolThreads&) = delete;
 };
 
 bool avx2_available() {
@@ -309,23 +324,44 @@ struct ConvCase {
   nn::PadMode mode;
 };
 
-// Stride 1 and 2, both pad modes, output widths hitting the 32-wide tiles,
-// the 8-wide tail, and the scalar remainder, plus tiny planes where the
-// halo dominates.
-const ConvCase kConvCases[] = {
-    {3, 5, 16, 16, 1, nn::PadMode::kReplicate},
-    {3, 5, 16, 16, 2, nn::PadMode::kReplicate},
-    {2, 4, 7, 5, 1, nn::PadMode::kZero},
-    {2, 4, 9, 9, 2, nn::PadMode::kZero},
-    {1, 2, 3, 3, 1, nn::PadMode::kReplicate},
-    {1, 2, 4, 3, 2, nn::PadMode::kZero},
-    {8, 8, 32, 33, 1, nn::PadMode::kReplicate},
-    {8, 16, 32, 32, 2, nn::PadMode::kReplicate},
-    {4, 3, 5, 40, 1, nn::PadMode::kZero},
-};
+/// Square planes whose output is every width the paper's grids (20, 28) and
+/// U-Net levels (5-14) produce, at both strides and in both pad modes, for
+/// each channel pairing: 1 and 3 output channels run the one-channel blocks
+/// alone, 8 and 16 the four-channel blocks. The widths leave masked tails of
+/// 2 to 7 columns, and the heights odd rows and every remainder of 4. Then
+/// planes where the halo dominates, non-square planes and widths past 32.
+std::vector<ConvCase> conv_cases() {
+  std::vector<ConvCase> cases;
+  constexpr int kChannels[][2] = {{1, 8}, {8, 16}, {32, 3}, {16, 1}};
+  for (const int wo : {5, 7, 10, 14, 20, 28}) {
+    for (const int stride : {1, 2}) {
+      const int w = stride == 1 ? wo : 2 * wo - wo % 2;
+      for (const nn::PadMode mode :
+           {nn::PadMode::kReplicate, nn::PadMode::kZero}) {
+        for (const auto& ch : kChannels) {
+          cases.push_back({ch[0], ch[1], w, w, stride, mode});
+        }
+      }
+    }
+  }
+  const ConvCase odd_shapes[] = {
+      {1, 2, 3, 3, 1, nn::PadMode::kReplicate},
+      {1, 2, 4, 3, 2, nn::PadMode::kZero},
+      {2, 4, 7, 5, 1, nn::PadMode::kZero},
+      {3, 5, 16, 16, 2, nn::PadMode::kReplicate},
+      {8, 8, 32, 33, 1, nn::PadMode::kReplicate},
+      {4, 3, 5, 40, 1, nn::PadMode::kZero},
+      {8, 16, 64, 64, 2, nn::PadMode::kReplicate},
+  };
+  cases.insert(cases.end(), std::begin(odd_shapes), std::end(odd_shapes));
+  return cases;
+}
 
+/// One conv forward under a forced backend; every input index in `nan_at` is
+/// set to NaN first.
 std::vector<float> run_conv(const ConvCase& cc, KernelBackend backend,
-                            int batch, float poison) {
+                            int batch,
+                            const std::vector<std::int64_t>& nan_at = {}) {
   ForcedBackend forced(backend);
   util::Rng rng(29);
   nn::Conv2d conv(cc.cin, cc.cout, 3, cc.stride, 1, cc.mode, rng);
@@ -334,7 +370,7 @@ std::vector<float> run_conv(const ConvCase& cc, KernelBackend backend,
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x.data()[i] = static_cast<float>(data_rng.normal());
   }
-  if (poison != 0.0f) x.data()[x.numel() / 2] = poison;
+  for (const std::int64_t i : nan_at) x.data()[i] = std::nanf("");
   nn::NoGradGuard guard;
   const Var y = conv.forward(Var(x));
   return std::vector<float>(y.value().data(),
@@ -343,37 +379,54 @@ std::vector<float> run_conv(const ConvCase& cc, KernelBackend backend,
 
 TEST(Kernels, ConvForwardBitIdenticalAcrossBackends) {
   SKIP_WITHOUT_AVX2();
-  for (const ConvCase& cc : kConvCases) {
-    const auto scalar = run_conv(cc, KernelBackend::kScalar, 2, 0.0f);
-    const auto avx2 = run_conv(cc, KernelBackend::kAvx2, 2, 0.0f);
-    EXPECT_TRUE(bitwise_equal(scalar, avx2))
-        << cc.cin << "->" << cc.cout << " " << cc.h << "x" << cc.w
-        << " stride " << cc.stride;
+  // Batch 1 runs one fused call; batch 3 fans the samples out over the pool.
+  for (const int threads : {1, 4}) {
+    PoolThreads pool(threads);
+    for (const ConvCase& cc : conv_cases()) {
+      for (const int batch : {1, 3}) {
+        const auto scalar = run_conv(cc, KernelBackend::kScalar, batch);
+        const auto avx2 = run_conv(cc, KernelBackend::kAvx2, batch);
+        EXPECT_TRUE(bitwise_equal(scalar, avx2))
+            << cc.cin << "->" << cc.cout << " " << cc.h << "x" << cc.w
+            << " stride " << cc.stride
+            << (cc.mode == nn::PadMode::kReplicate ? " replicate" : " zero")
+            << " batch " << batch << ", " << threads << " threads";
+      }
+    }
   }
 }
 
 TEST(Kernels, ConvForwardNanBitIdenticalAcrossBackends) {
   SKIP_WITHOUT_AVX2();
-  const ConvCase cc = {2, 3, 10, 11, 1, nn::PadMode::kZero};
-  const auto scalar = run_conv(cc, KernelBackend::kScalar, 1, std::nanf(""));
-  const auto avx2 = run_conv(cc, KernelBackend::kAvx2, 1, std::nanf(""));
-  EXPECT_TRUE(bitwise_equal(scalar, avx2));
+  // Width 11 leaves a masked tail block: columns 8-10 at stride 1, and all 6
+  // output columns at stride 2. One NaN sits in a tail column; the other at
+  // the top-right corner, where replicate padding copies it into the top
+  // halo row and into the right halo that the tail's unstored lanes read.
+  // NaN must reach exactly the outputs the im2col lowering gives it.
+  for (const nn::PadMode mode :
+       {nn::PadMode::kReplicate, nn::PadMode::kZero}) {
+    for (const int stride : {1, 2}) {
+      const ConvCase cc = {3, 5, 9, 11, stride, mode};
+      const std::int64_t plane = static_cast<std::int64_t>(cc.h) * cc.w;
+      const std::vector<std::int64_t> nan_at = {
+          plane + 4 * cc.w + (cc.w - 2),  // channel 1, row 4, a tail column
+          2 * plane + (cc.w - 1),         // channel 2, row 0, last column
+      };
+      const auto scalar = run_conv(cc, KernelBackend::kScalar, 1, nan_at);
+      const auto avx2 = run_conv(cc, KernelBackend::kAvx2, 1, nan_at);
+      const auto is_nan = [](float v) { return std::isnan(v); };
+      EXPECT_TRUE(std::any_of(scalar.begin(), scalar.end(), is_nan));
+      EXPECT_FALSE(std::all_of(scalar.begin(), scalar.end(), is_nan));
+      EXPECT_TRUE(bitwise_equal(scalar, avx2))
+          << "stride " << stride
+          << (mode == nn::PadMode::kReplicate ? " replicate" : " zero");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Conv backward bits against a reference of the lowered arithmetic
 // ---------------------------------------------------------------------------
-
-/// Pool size for one scope; restores the default size on exit.
-class PoolThreads {
- public:
-  explicit PoolThreads(int threads) {
-    util::ThreadPool::set_global_threads(threads);
-  }
-  ~PoolThreads() { util::ThreadPool::set_global_threads(0); }
-  PoolThreads(const PoolThreads&) = delete;
-  PoolThreads& operator=(const PoolThreads&) = delete;
-};
 
 /// Flat index of the image pixel that an im2col entry reads at (ih, iw):
 /// clamped under replication padding, -1 when zero padding reads outside.
@@ -653,6 +706,43 @@ TEST(Kernels, ConvTranspose2dBackwardMatchesReferenceArithmetic) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// FLOP accounting: the fused path counts what its lowering would
+// ---------------------------------------------------------------------------
+
+/// gemm.flops and conv.fused_flops over one forward pass of the paper net on
+/// a 20 x 28 grid.
+std::pair<std::int64_t, std::int64_t> forward_flops(KernelBackend backend) {
+  ForcedBackend forced(backend);
+  core::ModelConfig config;
+  config.distance_channels = 3;
+  config.tile_rows = 20;
+  config.tile_cols = 28;
+  const core::WorstCaseNoiseNet net(config);
+  util::Rng rng(61);
+  const Tensor distance = random_tensor({1, 3, 20, 28}, rng);
+  const Tensor currents = random_tensor({4, 1, 20, 28}, rng);
+  nn::NoGradGuard guard;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::CounterSnapshot before = obs::snapshot_counters();
+  net.forward(Var(distance), Var(currents));
+  const obs::CounterSnapshot after = obs::snapshot_counters();
+  obs::set_enabled(was_enabled);
+  return {obs::counter_reading(before, after, obs::Counter::kGemmFlops),
+          obs::counter_reading(before, after, obs::Counter::kConvFusedFlops)};
+}
+
+TEST(Kernels, FusedConvFlopsCompleteTheGemmCount) {
+  SKIP_WITHOUT_AVX2();
+  const auto [scalar_gemm, scalar_fused] =
+      forward_flops(KernelBackend::kScalar);
+  const auto [avx2_gemm, avx2_fused] = forward_flops(KernelBackend::kAvx2);
+  EXPECT_EQ(0, scalar_fused);
+  EXPECT_GT(avx2_fused, 0);
+  EXPECT_EQ(scalar_gemm, avx2_gemm + avx2_fused);
 }
 
 // ---------------------------------------------------------------------------
