@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < total_requests; ++i) traces.push_back(gen.generate());
 
   // 3) Single-client serial predict(): the reference bits for every fleet
-  //    run, and the rate the fleet rows are compared with.
+  //    run.
   const core::WorstCasePipeline pipeline(
       *ex.grid, *artifact.model, core::PipelineOptions{artifact.temporal});
   std::vector<util::MapF> expected(static_cast<std::size_t>(total_requests));
@@ -193,10 +193,10 @@ int main(int argc, char** argv) {
       ex.spec.name.c_str(), total_requests, serve_flags.options.num_shards,
       serve_flags.designs, serve_flags.options.max_batch,
       serve_flags.swap ? 1 : 0, std::thread::hardware_concurrency());
-  std::printf("%-16s %10s %10s %8s %7s %7s %7s\n", "mode", "seconds", "req/s",
-              "speedup", "batches", "p50ms", "maxms");
-  std::printf("%-16s %10.4f %10.2f %8s %7s %7s %7s\n", "serial",
-              serial_seconds, serial_rps, "1.00", "-", "-", "-");
+  std::printf("%-16s %10s %10s %7s %7s %7s %7s  %s\n", "mode", "seconds",
+              "req/s", "batches", "width", "p50ms", "maxms", "bits");
+  std::printf("%-16s %10.4f %10.2f %7s %7s %7s %7s  %s\n", "serial",
+              serial_seconds, serial_rps, "-", "-", "-", "-", "reference");
 
   // 4) Closed-loop verification: shard counts {1, S} × client counts, mixed
   //    designs, optional mid-run hot-swap. Every map must match the serial
@@ -303,13 +303,13 @@ int main(int argc, char** argv) {
 
       const serve::NoiseServer::Stats stats = server.stats();
       const double rps = total_requests / seconds;
-      const double speedup = rps / serial_rps;
       const std::string mode = "serve:" + std::to_string(shards) + "x" +
                                std::to_string(clients);
-      std::printf("%-16s %10.4f %10.2f %7.2fx %7lld %7.2f %7.2f%s\n",
-                  mode.c_str(), seconds, rps, speedup,
-                  static_cast<long long>(stats.batches), latency.p50,
-                  latency.max, match ? "" : "  [MISMATCH]");
+      std::printf("%-16s %10.4f %10.2f %7lld %7lld %7.2f %7.2f  %s\n",
+                  mode.c_str(), seconds, rps,
+                  static_cast<long long>(stats.batches),
+                  static_cast<long long>(stats.batch_width_max), latency.p50,
+                  latency.max, match ? "identical" : "MISMATCH");
 
       obs::JsonValue run = obs::JsonValue::object();
       run.set("mode", "closed_loop");
@@ -317,7 +317,6 @@ int main(int argc, char** argv) {
       run.set("clients", clients);
       run.set("seconds", seconds);
       run.set("requests_per_second", rps);
-      run.set("speedup_vs_serial", speedup);
       run.set("batches", stats.batches);
       run.set("batch_width_max", stats.batch_width_max);
       run.set("queue_depth_max", stats.queue_depth_max);

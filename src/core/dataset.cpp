@@ -24,11 +24,14 @@ std::uint64_t dataset_cache_key(const pdn::DesignSpec& spec,
                                 std::uint64_t generator_seed,
                                 int vector_index) {
   // Every field that determines the sample's bytes, folded in a fixed
-  // canonical order. The leading tag versions the RawSample payload layout:
-  // bumping it invalidates the whole cache rather than misreading old
-  // chunks. Scheduling knobs (threads, sim batch) are deliberately absent.
+  // canonical order. The leading tag versions the RawSample payload layout
+  // and the golden engine's rounding: bumping it invalidates the whole cache
+  // rather than misreading old chunks or replaying an older engine's bits
+  // and sim_seconds. v2 is the engine whose bits no longer depend on the
+  // build type (DESIGN.md §8). Scheduling knobs (threads, sim batch) are
+  // deliberately absent.
   util::Fnv1a64 h;
-  h.add_string("pdnn.raw_sample.v1");
+  h.add_string("pdnn.raw_sample.v2");
   h.add_string(spec.name);
   h.add(spec.tile_rows).add(spec.tile_cols).add(spec.nodes_per_tile);
   h.add(spec.top_stride).add(spec.bump_pitch);
@@ -38,7 +41,7 @@ std::uint64_t dataset_cache_key(const pdn::DesignSpec& spec,
   h.add(spec.num_loads).add(spec.load_clusters).add(spec.cluster_fraction);
   h.add(spec.unit_current).add(spec.target_mean_noise).add(spec.seed);
   // The int32 0 is where the retired solver-kind field hashed (0 was band
-  // Cholesky, the only engine); folding it in keeps existing stores valid.
+  // Cholesky, the only engine).
   h.add(sim_options.dt).add(std::int32_t{0});
   h.add(gen_params.num_steps).add(gen_params.dt);
   h.add(gen_params.min_bursts).add(gen_params.max_bursts);

@@ -41,7 +41,7 @@ enum class Counter : int {
   kPoolChunks,          ///< chunks submitted across all runs (queue volume)
   kPoolChunkNanos,      ///< summed wall time inside chunk bodies (latency)
   kPoolChunksPerRunMax, ///< largest single-run chunk count (queue depth)
-  kCholSolves,          ///< band-Cholesky solve_multi calls
+  kCholSolves,          ///< Cholesky solve_multi calls
   kCholSolveColumns,    ///< right-hand sides solved (batch widths summed)
   kCholBatchWidthMax,   ///< widest multi-RHS block
   kGemmCalls,           ///< gemm_{nn,tn} calls

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "sparse/ordering.hpp"
@@ -9,67 +10,91 @@
 
 namespace pdnn::sparse {
 
-void BandCholesky::factor(const CsrMatrix& a, std::size_t max_band_bytes) {
+namespace {
+
+/// First stored column of row i: the row spans [first, i], so its length in
+/// the packed profile is i - first + 1.
+int first_column(const std::vector<std::size_t>& offset, int i) {
+  const auto r = static_cast<std::size_t>(i);
+  return i + 1 - static_cast<int>(offset[r + 1] - offset[r]);
+}
+
+}  // namespace
+
+void BandCholesky::factor(const CsrMatrix& a,
+                          std::size_t max_envelope_bytes) {
   const int n = a.rows();
   PDN_CHECK(n > 0, "BandCholesky: empty matrix");
 
-  perm_ = reverse_cuthill_mckee(a);
-  inv_perm_.assign(static_cast<std::size_t>(n), 0);
-  for (int i = 0; i < n; ++i) inv_perm_[static_cast<std::size_t>(perm_[i])] = i;
-
-  const CsrMatrix p = a.permuted(perm_);
-  const int bw = bandwidth(p, [&] {
-    std::vector<int> identity(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) identity[static_cast<std::size_t>(i)] = i;
-    return identity;
-  }());
-
-  const std::size_t entries =
-      static_cast<std::size_t>(n) * (static_cast<std::size_t>(bw) + 1);
-  PDN_CHECK(entries * sizeof(double) <= max_band_bytes,
-            "BandCholesky: band storage exceeds memory budget");
-
-  n_ = n;
-  bw_ = bw;
-  band_.assign(entries, 0.0);
-  const std::size_t stride = static_cast<std::size_t>(bw_) + 1;
-
-  // Scatter the lower triangle of the permuted matrix into band storage.
+  std::vector<int> perm = reverse_cuthill_mckee(a);
+  const CsrMatrix p = a.permuted(perm);
   const auto& indptr = p.indptr();
   const auto& indices = p.indices();
   const auto& values = p.values();
+
+  // Envelope row offsets: row r spans [first(r), r], first(r) being its
+  // leftmost nonzero (the diagonal when it has none to the left).
+  std::vector<std::size_t> offset(static_cast<std::size_t>(n) + 1, 0);
+  int bw = 0;
   for (int r = 0; r < n; ++r) {
+    int first = r;
+    for (std::int64_t q = indptr[r]; q < indptr[r + 1]; ++q) {
+      first = std::min(first, indices[static_cast<std::size_t>(q)]);
+    }
+    bw = std::max(bw, r - first);
+    offset[static_cast<std::size_t>(r) + 1] =
+        offset[static_cast<std::size_t>(r)] +
+        static_cast<std::size_t>(r - first + 1);
+  }
+  PDN_CHECK(offset.back() <= max_envelope_bytes / sizeof(double),
+            "BandCholesky: envelope storage exceeds memory budget");
+
+  // Scatter the lower triangle of the permuted matrix into the profile.
+  std::vector<double> env(offset.back(), 0.0);
+  for (int r = 0; r < n; ++r) {
+    const std::size_t row = offset[static_cast<std::size_t>(r)];
+    const int first = first_column(offset, r);
     for (std::int64_t q = indptr[r]; q < indptr[r + 1]; ++q) {
       const int c = indices[static_cast<std::size_t>(q)];
       if (c <= r) {
-        band_[static_cast<std::size_t>(r) * stride +
-              static_cast<std::size_t>(c - r + bw_)] =
+        env[row + static_cast<std::size_t>(c - first)] =
             values[static_cast<std::size_t>(q)];
       }
     }
   }
 
-  // In-place band Cholesky: row i, columns j in [i-bw, i].
+  // In-place row Cholesky: row i, columns j in [first(i), i]. Fill stays
+  // inside the envelope, so L(i,k) * L(j,k) can be nonzero only from
+  // k = max(first(i), first(j)); every term before it is an exact zero.
   for (int i = 0; i < n; ++i) {
-    double* row_i = band_.data() + static_cast<std::size_t>(i) * stride;
-    const int j_lo = std::max(0, i - bw_);
-    for (int j = j_lo; j <= i; ++j) {
-      const double* row_j = band_.data() + static_cast<std::size_t>(j) * stride;
-      // sum over k in [max(j_lo, j-bw), j): L(i,k) * L(j,k).
-      const int k_lo = std::max(j_lo, j - bw_);
-      double acc = row_i[j - i + bw_];
-      // Band offsets: L(i,k) at row_i[k - i + bw], L(j,k) at row_j[k - j + bw].
-      const double* pi = row_i + (k_lo - i + bw_);
-      const double* pj = row_j + (k_lo - j + bw_);
+    const std::size_t row_i = offset[static_cast<std::size_t>(i)];
+    const int fi = first_column(offset, i);
+    for (int j = fi; j <= i; ++j) {
+      const std::size_t row_j = offset[static_cast<std::size_t>(j)];
+      const int fj = first_column(offset, j);
+      const int k_lo = std::max(fi, fj);
+      // L(i,k) at env[row_i + k - fi], L(j,k) at env[row_j + k - fj].
+      const double* pi =
+          env.data() + row_i + static_cast<std::size_t>(k_lo - fi);
+      const double* pj =
+          env.data() + row_j + static_cast<std::size_t>(k_lo - fj);
+      double acc = env[row_i + static_cast<std::size_t>(j - fi)];
       for (int k = k_lo; k < j; ++k) acc -= *pi++ * *pj++;
       if (j < i) {
-        row_i[j - i + bw_] = acc / row_j[bw_];
+        env[row_i + static_cast<std::size_t>(j - fi)] =
+            acc / env[offset[static_cast<std::size_t>(j) + 1] - 1];
       } else {
         PDN_CHECK(acc > 0.0, "BandCholesky: matrix is not positive definite");
-        row_i[bw_] = std::sqrt(acc);
+        env[row_i + static_cast<std::size_t>(i - fi)] = std::sqrt(acc);
       }
     }
   }
+
+  n_ = n;
+  bw_ = bw;
+  perm_ = std::move(perm);
+  offset_ = std::move(offset);
+  values_ = std::move(env);
 }
 
 void BandCholesky::solve(const std::vector<double>& b,
@@ -77,11 +102,8 @@ void BandCholesky::solve(const std::vector<double>& b,
   PDN_CHECK(factored(), "BandCholesky::solve before factor");
   PDN_CHECK(static_cast<int>(b.size()) == n_,
             "BandCholesky::solve: size mismatch");
-  // Single-RHS solve is the B=1 case of the blocked kernel. Routing it
-  // through the same code keeps serial and batched transient results
-  // bit-identical regardless of how the compiler contracts/vectorizes the
-  // substitution loops (-ffp-contract=fast would otherwise let two separate
-  // implementations round differently at the ULP level).
+  // Single-RHS solve is the B=1 case of the blocked kernel, so serial and
+  // batched transient results share one code path and stay bit-identical.
   x.assign(static_cast<std::size_t>(n_), 0.0);
   solve_multi(b.data(), x.data(), 1);
 }
@@ -93,7 +115,6 @@ void BandCholesky::solve_multi(const double* b, double* x, int batch) const {
   obs::counter_add(obs::Counter::kCholSolveColumns, batch);
   obs::counter_max(obs::Counter::kCholBatchWidthMax, batch);
   obs::TraceSpan span("chol.solve_multi", "batch", batch);
-  const std::size_t stride = static_cast<std::size_t>(bw_) + 1;
   const std::size_t bsz = static_cast<std::size_t>(batch);
 
   // Interleave the permuted right-hand sides: y[i*batch + c] holds column c
@@ -108,32 +129,31 @@ void BandCholesky::solve_multi(const double* b, double* x, int batch) const {
     }
   }
 
-  // Forward substitution: L z = y. Identical per-column operation order to
-  // solve(): subtract the j terms in ascending j, then divide by the pivot.
+  // Forward substitution: L z = y. Per column: subtract the j terms in
+  // ascending j from first(i), then divide by the pivot.
   for (int i = 0; i < n_; ++i) {
-    const double* row = band_.data() + static_cast<std::size_t>(i) * stride;
-    const int j_lo = std::max(0, i - bw_);
+    const int fi = first_column(offset_, i);
+    const double* row = values_.data() + offset_[static_cast<std::size_t>(i)];
     double* yi = y.data() + static_cast<std::size_t>(i) * bsz;
-    const double* pl = row + (j_lo - i + bw_);
-    for (int j = j_lo; j < i; ++j) {
-      const double l = *pl++;
+    for (int j = fi; j < i; ++j) {
+      const double l = row[j - fi];
       const double* yj = y.data() + static_cast<std::size_t>(j) * bsz;
       for (std::size_t c = 0; c < bsz; ++c) yi[c] -= l * yj[c];
     }
-    const double d = row[bw_];
+    const double d = row[i - fi];
     for (std::size_t c = 0; c < bsz; ++c) yi[c] = yi[c] / d;
   }
 
-  // Backward substitution: L^T x = z, column-oriented exactly like solve().
+  // Backward substitution: L^T x = z, column-oriented: divide row i by its
+  // pivot, then scatter it into the rows of its envelope.
   for (int i = n_ - 1; i >= 0; --i) {
-    const double* row = band_.data() + static_cast<std::size_t>(i) * stride;
+    const int fi = first_column(offset_, i);
+    const double* row = values_.data() + offset_[static_cast<std::size_t>(i)];
     double* yi = y.data() + static_cast<std::size_t>(i) * bsz;
-    const double d = row[bw_];
+    const double d = row[i - fi];
     for (std::size_t c = 0; c < bsz; ++c) yi[c] = yi[c] / d;
-    const int j_lo = std::max(0, i - bw_);
-    const double* pl = row + (j_lo - i + bw_);
-    for (int j = j_lo; j < i; ++j) {
-      const double l = *pl++;
+    for (int j = fi; j < i; ++j) {
+      const double l = row[j - fi];
       double* yj = y.data() + static_cast<std::size_t>(j) * bsz;
       for (std::size_t c = 0; c < bsz; ++c) yj[c] -= l * yi[c];
     }

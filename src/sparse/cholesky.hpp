@@ -3,24 +3,36 @@
 // Dynamic analysis is a sequence of solves against one fixed SPD matrix
 // (G + C/dt), so the dominant cost pattern is "factor once, solve per time
 // step" — exactly what commercial sign-off engines do. After a reverse
-// Cuthill-McKee reordering the two-layer grid matrix has a small bandwidth,
-// and a band Cholesky factorization is both simple and fast.
+// Cuthill-McKee reordering the two-layer grid matrix has a small envelope:
+// row i's nonzeros start at its first column first(i), a little left of the
+// diagonal. Cholesky fill never leaves the envelope, so the factor stores
+// each row from first(i) to the diagonal (profile storage) and every factor
+// and substitution loop starts at first(i). On D1-D4 that is 52-58% of the
+// band a fixed-width band Cholesky would store and stream.
+//
+// cholesky.cpp compiles with -ffp-contract=off in every build type, so a
+// factor and a solve give the same bits in Release and Debug, on gcc and
+// clang (DESIGN.md §8).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "sparse/csr.hpp"
 
 namespace pdnn::sparse {
 
-/// Band Cholesky factorization A = L L^T with internal RCM reordering.
+/// Envelope (profile) Cholesky factorization A = L L^T with internal RCM
+/// reordering. An envelope is a band whose width varies by row, hence the
+/// name.
 class BandCholesky {
  public:
   /// Factor an SPD matrix. Throws CheckError if the matrix is not positive
-  /// definite (non-positive pivot) or the band storage would exceed
-  /// max_band_bytes.
+  /// definite (non-positive pivot) or the envelope storage would exceed
+  /// max_envelope_bytes; the budget is checked before the factor is
+  /// allocated. A throwing call leaves the previous factor in place.
   void factor(const CsrMatrix& a,
-              std::size_t max_band_bytes = std::size_t{6} << 30);
+              std::size_t max_envelope_bytes = std::size_t{6} << 30);
 
   /// Solve A x = b for one right-hand side. Requires factor() first.
   void solve(const std::vector<double>& b, std::vector<double>& x) const;
@@ -37,19 +49,21 @@ class BandCholesky {
 
   bool factored() const { return n_ > 0; }
   int rows() const { return n_; }
+  /// Largest distance from a row's first column to its diagonal.
   int band() const { return bw_; }
 
-  /// Stored factor entries (n * (band+1)); a proxy for factorization memory.
-  std::size_t factor_entries() const { return band_.size(); }
+  /// Stored factor entries: the envelope, sum over rows of i - first(i) + 1.
+  std::size_t factor_entries() const { return values_.size(); }
 
  private:
   int n_ = 0;
   int bw_ = 0;
-  std::vector<int> perm_;       // new -> old
-  std::vector<int> inv_perm_;   // old -> new
-  // Row-major band storage: band_[i * (bw_+1) + (j - i + bw_)] = L(i, j)
-  // for j in [i - bw_, i]; the diagonal sits at offset bw_.
-  std::vector<double> band_;
+  std::vector<int> perm_;  // new -> old
+  // Profile storage: row i holds L(i, j) for j in [first(i), i] at
+  // values_[offset_[i] + (j - first(i))]; its diagonal is the row's last
+  // entry, values_[offset_[i + 1] - 1].
+  std::vector<std::size_t> offset_;
+  std::vector<double> values_;
 };
 
 }  // namespace pdnn::sparse

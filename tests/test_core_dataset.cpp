@@ -336,13 +336,14 @@ TEST(Dataset, CacheKeyTracksEveryPhysicalInput) {
 
 TEST(Dataset, CacheKeyIsPinned) {
   // Existing stores stay valid only while the key of a fixed input never
-  // changes. A change to the hashed fields or their order must bump the
-  // payload tag, and then this literal, on purpose.
+  // changes. A change to the hashed fields, their order or the golden
+  // engine's bits must bump the payload tag, and then this literal, on
+  // purpose.
   vectors::VectorGenParams params;
   params.num_steps = 30;
   EXPECT_EQ(core::dataset_cache_key(tiny_spec(), sim::TransientOptions{},
                                     params, 55, 3),
-            0x735c73b997225b89ull);
+            0x0013ab0ec6f81f14ull);
 }
 
 TEST(Dataset, RawSampleCodecRoundTripsExactly) {

@@ -88,7 +88,7 @@ pdn::DesignSpec tiny_spec() {
 }
 
 /// A workload touching every instrumented layer: golden-dataset simulation
-/// (band Cholesky, transient stepping, thread pool) plus a conv training
+/// (Cholesky solves, transient stepping, thread pool) plus a conv training
 /// step (GEMM, im2col scratch, autograd).
 struct WorkloadOutputs {
   core::RawDataset data;

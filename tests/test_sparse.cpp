@@ -1,5 +1,5 @@
 // Unit + property tests for the sparse stack: CSR assembly, orderings and
-// the band Cholesky.
+// the envelope Cholesky.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/ordering.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace pdnn {
@@ -194,7 +195,74 @@ TEST(Cholesky, RejectsIndefiniteMatrix) {
 TEST(Cholesky, RespectsMemoryBudget) {
   const CsrMatrix a = grid_laplacian(30, 30, 0.5);
   sparse::BandCholesky chol;
-  EXPECT_THROW(chol.factor(a, /*max_band_bytes=*/128), util::CheckError);
+  EXPECT_THROW(chol.factor(a, /*max_envelope_bytes=*/128), util::CheckError);
+}
+
+TEST(Cholesky, TridiagonalEnvelopeIsTwoNMinusOne) {
+  // A path graph: every row below the first holds its diagonal and one
+  // subdiagonal entry, so the profile stores 2n - 1 values.
+  constexpr int kN = 40;
+  std::vector<Triplet> t;
+  for (int i = 0; i < kN; ++i) {
+    t.push_back({i, i, 2.5});
+    if (i + 1 < kN) {
+      t.push_back({i, i + 1, -1.0});
+      t.push_back({i + 1, i, -1.0});
+    }
+  }
+  const CsrMatrix a = CsrMatrix::from_triplets(kN, t);
+  sparse::BandCholesky chol;
+  chol.factor(a);
+  EXPECT_EQ(chol.band(), 1);
+  EXPECT_EQ(chol.factor_entries(), static_cast<std::size_t>(2 * kN - 1));
+  util::Rng rng(5);
+  const auto b = random_vector(kN, rng);
+  std::vector<double> x;
+  chol.solve(b, x);
+  EXPECT_LT(residual_norm(a, x, b), 1e-9);
+}
+
+TEST(Cholesky, GridEnvelopeIsSmallerThanBand) {
+  const CsrMatrix a = grid_laplacian(20, 20, 0.3);
+  sparse::BandCholesky chol;
+  chol.factor(a);
+  const std::size_t band_entries = static_cast<std::size_t>(chol.rows()) *
+                                   static_cast<std::size_t>(chol.band() + 1);
+  EXPECT_LT(chol.factor_entries(), band_entries);
+}
+
+TEST(Cholesky, BudgetBoundsEnvelopeBytes) {
+  // The budget is checked on the envelope: one entry short of the band
+  // still factors, exactly the envelope factors, one byte less is refused.
+  const CsrMatrix a = grid_laplacian(16, 11, 0.2);
+  sparse::BandCholesky chol;
+  chol.factor(a);
+  const std::size_t envelope_bytes = chol.factor_entries() * sizeof(double);
+  const std::size_t band_bytes = static_cast<std::size_t>(chol.rows()) *
+                                 static_cast<std::size_t>(chol.band() + 1) *
+                                 sizeof(double);
+  EXPECT_LT(envelope_bytes, band_bytes);
+  EXPECT_NO_THROW(chol.factor(a, band_bytes - sizeof(double)));
+  EXPECT_NO_THROW(chol.factor(a, envelope_bytes));
+  EXPECT_THROW(chol.factor(a, envelope_bytes - 1), util::CheckError);
+}
+
+TEST(Cholesky, FailedFactorKeepsThePreviousOne) {
+  // A refused budget or a non-positive pivot throws before anything is
+  // replaced: the object still solves the matrix it factored last.
+  const CsrMatrix small = grid_laplacian(6, 5, 0.4);
+  sparse::BandCholesky chol;
+  chol.factor(small);
+  EXPECT_THROW(chol.factor(grid_laplacian(30, 30, 0.5),
+                           /*max_envelope_bytes=*/128),
+               util::CheckError);
+  EXPECT_THROW(chol.factor(grid_laplacian(9, 9, -8.0)), util::CheckError);
+  ASSERT_EQ(chol.rows(), small.rows());
+  util::Rng rng(11);
+  const auto b = random_vector(small.rows(), rng);
+  std::vector<double> x;
+  chol.solve(b, x);
+  EXPECT_LT(residual_norm(small, x, b), 1e-9);
 }
 
 TEST(Cholesky, WarmRepeatSolvesAreConsistent) {
@@ -259,6 +327,29 @@ TEST(Cholesky, SolveMultiSolvesEveryColumn) {
                                      static_cast<std::size_t>(c + 1) * n);
     EXPECT_LT(residual_norm(a, xc, bc), 1e-9) << "column " << c;
   }
+}
+
+TEST(Cholesky, SolveBitsArePinned) {
+  // The golden engine's bits must not depend on the build type or the
+  // compiler: cholesky.cpp compiles with -ffp-contract=off in every build,
+  // and its loops use only +, -, *, / and sqrt in a fixed order. The matrix
+  // and the right-hand side are built from exact integers and binary
+  // fractions (no libm, nothing this file could contract), so the digest of
+  // the solution is a property of the solver alone and holds on every
+  // compiler and build type that CI runs.
+  const CsrMatrix a = grid_laplacian(12, 9, 0.25);
+  const int n = a.rows();
+  constexpr int kBatch = 3;
+  std::vector<double> b(static_cast<std::size_t>(n) * kBatch);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = static_cast<double>(static_cast<int>((i * 7) % 17) - 8);
+  }
+  sparse::BandCholesky chol;
+  chol.factor(a);
+  std::vector<double> x(b.size(), 0.0);
+  chol.solve_multi(b.data(), x.data(), kBatch);
+  EXPECT_EQ(util::fnv1a64(x.data(), x.size() * sizeof(double)),
+            0x0a7ce8035878549aull);
 }
 
 }  // namespace
