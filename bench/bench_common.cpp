@@ -115,8 +115,9 @@ void add_serve_flags(util::ArgParser& args) {
   args.add_flag("serve-clients", "8", "concurrent client threads");
   args.add_flag("serve-requests", "4", "predictions issued per client");
   args.add_flag("serve-shards", "2",
-                "fleet worker shards (designs pin to shards by consistent "
-                "hashing; any count is bit-identical)");
+                "fleet worker shards (design id queues on shard id % shards; "
+                "an idle worker takes batches from the longest queue; any "
+                "count is bit-identical)");
   args.add_flag("serve-designs", "2",
                 "designs registered for mixed-design traffic");
   args.add_flag("serve-batch", "8",
@@ -265,9 +266,11 @@ DesignExperiment run_design_experiment(const pdn::DesignSpec& base_spec,
 
   // 4) Evaluate on the held-out test split. The proposed runtime is measured
   //    end-to-end from the raw vector through the pipeline (spatial +
-  //    temporal compression + one CNN pass), as in the paper's Table 2; the
-  //    commercial runtime is the golden engine's solve loop for the same
-  //    vector, re-measured here to exclude dataset bookkeeping.
+  //    temporal compression + one CNN pass), as in the paper's Table 2,
+  //    after one untimed warm-up call. The commercial runtime is not
+  //    re-measured: it is simulate_dataset's time-stepping wall time
+  //    (total_sim_seconds, a batched block's time split evenly over its
+  //    vectors) divided by the number of simulated vectors.
   core::PipelineOptions popt;
   popt.temporal = temporal;
   core::WorstCasePipeline pipeline(*ex.grid, *ex.model, popt);
@@ -280,6 +283,9 @@ DesignExperiment run_design_experiment(const pdn::DesignSpec& base_spec,
     traces.push_back(replay.generate());
   }
 
+  // The first predict() pays for cold caches and scratch growth; keep it
+  // out of the mean. Its map is discarded, so no accuracy figure moves.
+  if (!traces.empty()) pipeline.predict(traces.front());
   double proposed = 0.0;
   for (int idx : ex.data.split.test) {
     const int raw_idx =

@@ -16,7 +16,6 @@
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
 #include "util/check.hpp"
-#include "util/hash.hpp"
 
 namespace pdnn::serve {
 
@@ -74,20 +73,6 @@ bool maps_close(const util::MapF& a, const util::MapF& b, double tolerance,
 /// relaxed fetch_add is as cheap as the bookkeeping around it.
 std::atomic<std::int64_t> g_next_request_id{1};
 
-/// Virtual ring points per shard. Enough that the arcs even out across a
-/// handful of shards; small enough that the ring stays a few cache lines.
-constexpr int kVirtualPointsPerShard = 64;
-
-/// splitmix64 finalizer over an FNV-1a digest. FNV's multiply only carries
-/// entropy upward, so the short near-identical keys hashed here ("shard",
-/// s, v) come out clustered in the high bits — exactly the bits that order
-/// the ring. The finalizer spreads them uniformly.
-std::uint64_t ring_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 }  // namespace
 
 struct NoiseServer::Impl {
@@ -106,18 +91,19 @@ struct NoiseServer::Impl {
 
   /// One registered design. Immutable routing fields are set at
   /// registration; the deployment state (active/candidate/swap bookkeeping)
-  /// and the telemetry accumulators are guarded by the owning shard's
-  /// mutex — a design's traffic flows through exactly one shard worker.
+  /// and the telemetry accumulators are guarded by the server mutex, since
+  /// batches of one design may run on several workers at once.
   struct DesignSlot {
     DesignId id;
     std::string name;
     const pdn::PowerGrid* grid = nullptr;
-    int shard = 0;
+    int shard = 0;  ///< home shard: id % num_shards
 
     std::shared_ptr<DesignEntry> active;
     std::shared_ptr<DesignEntry> candidate;  // non-null while canarying
     SwapReport swap;
     double canary_accum = 0.0;   ///< deterministic fraction accumulator
+    int canary_reserved = 0;     ///< canaries picked by running batches
     std::int64_t swap_seq = 0;   ///< invalidates stale canary results
 
     // Telemetry-only (accrues while obs::enabled()).
@@ -137,13 +123,11 @@ struct NoiseServer::Impl {
     std::promise<Response> promise;
   };
 
-  /// One worker thread's world: queue, wakeup, local stats.
+  /// One worker and the queue of the designs whose home it is. The queue
+  /// and its admission stats belong to the home shard; batches and
+  /// completions are booked to the worker that served them.
   struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable cv;
     std::deque<Request> queue;
-    bool paused = false;
-    bool stopping = false;
     Stats stats;
     obs::Histogram queue_depth;  ///< sampled at each admission (telemetry)
     std::thread worker;
@@ -154,64 +138,57 @@ struct NoiseServer::Impl {
     PDN_CHECK(options_.max_batch > 0, "NoiseServer: max_batch must be > 0");
     PDN_CHECK(options_.queue_capacity > 0,
               "NoiseServer: queue_capacity must be > 0");
-    // Consistent-hash ring: kVirtualPointsPerShard points per shard, sorted
-    // by hash. A design routes to the shard owning the first point at or
-    // after its own hash (wrapping), so growing the fleet remaps only the
-    // designs whose arc moved.
-    ring_.reserve(static_cast<std::size_t>(options_.num_shards) *
-                  kVirtualPointsPerShard);
-    for (int s = 0; s < options_.num_shards; ++s) {
-      for (int v = 0; v < kVirtualPointsPerShard; ++v) {
-        util::Fnv1a64 h;
-        h.add_string("serve.shard").add(s).add(v);
-        ring_.push_back({ring_mix(h.digest()), s});
-      }
-    }
-    std::sort(ring_.begin(), ring_.end());
-    shards_.reserve(static_cast<std::size_t>(options_.num_shards));
-    for (int s = 0; s < options_.num_shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
+    shards_.resize(static_cast<std::size_t>(options_.num_shards));
     obs::counter_max(obs::Counter::kServeShardsMax, options_.num_shards);
     for (int s = 0; s < options_.num_shards; ++s) {
-      shards_[static_cast<std::size_t>(s)]->worker =
+      shards_[static_cast<std::size_t>(s)].worker =
           std::thread([this, s] { run(s); });
     }
   }
 
-  int shard_for(DesignId design) const {
-    util::Fnv1a64 h;
-    h.add_string("serve.design").add(design.value);
-    const std::pair<std::uint64_t, int> key{ring_mix(h.digest()), 0};
-    auto it = std::lower_bound(ring_.begin(), ring_.end(), key);
-    if (it == ring_.end()) it = ring_.begin();  // wrap around the ring
-    return it->second;
-  }
+  Shard& shard(int index) { return shards_[static_cast<std::size_t>(index)]; }
 
-  DesignSlot* find_slot(DesignId design, const char* who) const {
-    std::lock_guard<std::mutex> lock(registry_mu_);
+  /// Requires mu_.
+  DesignSlot& slot(DesignId design, const char* who) const {
     PDN_CHECK(design.valid() &&
                   design.value < static_cast<int>(designs_.size()),
               std::string(who) + ": unknown design id " +
                   std::to_string(design.value));
-    return designs_[static_cast<std::size_t>(design.value)].get();
+    return *designs_[static_cast<std::size_t>(design.value)];
   }
 
-  /// Shard worker loop: wait for work, slice a same-entry batch off the
-  /// queue front, run one fused forward pass, deliver responses, then run
-  /// any canary comparisons for an in-progress hot-swap. Exits once a
-  /// shutdown is requested and the shard's queue has drained.
-  void run(int shard_index) {
-    Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-    std::unique_lock<std::mutex> lock(shard.mu);
-    for (;;) {
-      shard.cv.wait(lock, [&shard] {
-        return shard.stopping || (!shard.paused && !shard.queue.empty());
-      });
-      if (shard.queue.empty()) {
-        if (shard.stopping) return;
-        continue;
+  /// The queue worker `self` serves next: its own while that holds work,
+  /// else the longest other one; -1 when every queue is empty. Requires
+  /// mu_.
+  int pick_queue(int self) const {
+    if (!shards_[static_cast<std::size_t>(self)].queue.empty()) return self;
+    int longest = -1;
+    std::size_t depth = 0;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (shards_[s].queue.size() > depth) {
+        depth = shards_[s].queue.size();
+        longest = static_cast<int>(s);
       }
+    }
+    return longest;
+  }
+
+  /// Worker loop: wait for work, slice a same-entry batch off the front of
+  /// the queue pick_queue() names, run one fused forward pass, deliver
+  /// responses, then run any canary comparisons for an in-progress
+  /// hot-swap. Exits once a shutdown is requested and every queue has
+  /// drained.
+  void run(int self) {
+    Shard& own = shard(self);
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      int from = -1;
+      cv_.wait(lock, [&] {
+        from = paused_ && !stopping_ ? -1 : pick_queue(self);
+        return from >= 0 || stopping_;
+      });
+      if (from < 0) return;
+      Shard& home = shard(from);
 
       // Strict FIFO-prefix batching: take requests from the front while
       // they target the same design entry, dropping any whose deadline
@@ -222,14 +199,13 @@ struct NoiseServer::Impl {
       const Clock::time_point now = Clock::now();
       const bool observing = obs::enabled();
       const std::int64_t now_ns = observing ? obs::detail::now_ns() : 0;
-      const DesignEntry* entry = shard.queue.front().entry.get();
+      const DesignEntry* entry = home.queue.front().entry.get();
       std::vector<Request> batch;
       std::vector<Request> expired;
-      while (!shard.queue.empty() &&
-             shard.queue.front().entry.get() == entry &&
+      while (!home.queue.empty() && home.queue.front().entry.get() == entry &&
              static_cast<int>(batch.size()) < options_.max_batch) {
-        Request r = std::move(shard.queue.front());
-        shard.queue.pop_front();
+        Request r = std::move(home.queue.front());
+        home.queue.pop_front();
         if (observing && r.enqueued_ns > 0) {
           obs::hist_record(obs::Hist::kServeQueueNanos,
                            now_ns - r.enqueued_ns);
@@ -242,37 +218,42 @@ struct NoiseServer::Impl {
           batch.push_back(std::move(r));
         }
       }
-      // Book the batch into the shard stats while still holding the lock;
-      // stats()/submit() read them under the same mutex.
+      // Book the batch while still holding the lock; stats()/submit() read
+      // the stats under the same mutex. Deadlines belong to the home shard,
+      // the batch to the worker that runs it.
       const int width = static_cast<int>(batch.size());
-      shard.stats.timeouts += static_cast<std::int64_t>(expired.size());
+      home.stats.timeouts += static_cast<std::int64_t>(expired.size());
       if (width > 0) {
-        ++shard.stats.batches;
-        shard.stats.batch_width_max =
-            std::max(shard.stats.batch_width_max, width);
+        ++own.stats.batches;
+        own.stats.batch_width_max = std::max(own.stats.batch_width_max, width);
       }
       // Canary selection for an in-progress swap: a deterministic fraction
       // accumulator over the design's served-request sequence marks which
       // batch members get the extra candidate inference. Selection never
       // changes what the client receives — the incumbent always answers.
+      // Canaries picked by batches still running elsewhere are reserved,
+      // so concurrent batches never select more than canary_requests.
       DesignSlot* slot = width > 0 ? batch.front().slot : nullptr;
       std::shared_ptr<DesignEntry> candidate;
       std::int64_t swap_seq = 0;
+      int reserved = 0;
       std::vector<char> canary_mask;
       if (slot != nullptr && slot->candidate &&
           batch.front().entry == slot->active) {
         candidate = slot->candidate;
         swap_seq = slot->swap_seq;
         canary_mask.assign(static_cast<std::size_t>(width), 0);
-        int pending = options_.canary_requests - slot->swap.canaried;
-        for (int i = 0; i < width && pending > 0; ++i) {
+        const int pending = options_.canary_requests - slot->swap.canaried -
+                            slot->canary_reserved;
+        for (int i = 0; i < width && reserved < pending; ++i) {
           slot->canary_accum += options_.canary_fraction;
           if (slot->canary_accum >= 1.0) {
             slot->canary_accum -= 1.0;
             canary_mask[static_cast<std::size_t>(i)] = 1;
-            --pending;
+            ++reserved;
           }
         }
+        slot->canary_reserved += reserved;
       }
       lock.unlock();
 
@@ -285,7 +266,7 @@ struct NoiseServer::Impl {
         Response resp;
         resp.status = Status::kTimedOut;
         resp.queue_seconds = seconds_between(r.enqueued, now);
-        resp.shard = shard_index;
+        resp.shard = from;
         resp.request_id = r.id;
         r.promise.set_value(std::move(resp));
       }
@@ -340,7 +321,7 @@ struct NoiseServer::Impl {
             resp.infer_seconds = infer_s;
             resp.batch_width = width;
             resp.kept_steps = batch[i].prepared.kept_steps;
-            resp.shard = shard_index;
+            resp.shard = self;
             resp.request_id = batch[i].id;
             batch[i].promise.set_value(std::move(resp));
             ++delivered;
@@ -393,11 +374,15 @@ struct NoiseServer::Impl {
       }
 
       lock.lock();
-      shard.stats.completed += delivered;
+      own.stats.completed += delivered;
+      if (reserved > 0 && slot->swap_seq == swap_seq) {
+        slot->canary_reserved -= reserved;
+      }
       if (candidate && slot->swap_seq == swap_seq &&
           slot->candidate == candidate) {
         // Fold this batch's canary verdicts into the swap (ignored when a
-        // newer swap_artifact() superseded the candidate mid-flight).
+        // newer swap_artifact() superseded the candidate mid-flight, or a
+        // concurrent batch already resolved it).
         slot->swap.canaried += compared;
         slot->swap.diverged += diverged;
         slot->swap.max_divergence_volts =
@@ -432,11 +417,15 @@ struct NoiseServer::Impl {
   }
 
   ServeOptions options_;
-  std::vector<std::pair<std::uint64_t, int>> ring_;  ///< sorted hash ring
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex registry_mu_;
+  /// Guards the queues, the stats, the registry, every design's swap state
+  /// and the flags below. One lock lets a worker take a batch from any
+  /// queue, and one condition variable lets a submit wake any idle worker.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
   std::vector<std::unique_ptr<DesignSlot>> designs_;
-  std::atomic<bool> stopping_{false};
+  bool paused_ = false;
+  bool stopping_ = false;
+  std::vector<Shard> shards_;  ///< last: holds the worker threads
 };
 
 NoiseServer::NoiseServer(ServeOptions options)
@@ -449,17 +438,16 @@ DesignId NoiseServer::add_design(std::string name, const pdn::PowerGrid& grid,
   PDN_CHECK(artifact.model != nullptr,
             "NoiseServer::add_design: artifact has no model (was it peeked, "
             "not loaded?)");
-  PDN_CHECK(!impl_->stopping_.load(std::memory_order_relaxed),
-            "NoiseServer::add_design: server is shut down");
   auto slot = std::make_unique<Impl::DesignSlot>();
   slot->name = std::move(name);
   slot->grid = &grid;
   slot->active =
       std::make_shared<Impl::DesignEntry>(grid, std::move(artifact));
-  std::lock_guard<std::mutex> lock(impl_->registry_mu_);
+  std::lock_guard<std::mutex> lock(impl_->mu_);
+  PDN_CHECK(!impl_->stopping_, "NoiseServer::add_design: server is shut down");
   const DesignId id{static_cast<int>(impl_->designs_.size())};
   slot->id = id;
-  slot->shard = impl_->shard_for(id);
+  slot->shard = id.value % options_.num_shards;
   impl_->designs_.push_back(std::move(slot));
   return id;
 }
@@ -475,8 +463,13 @@ Ticket NoiseServer::submit(DesignId design,
   ticket.id_ = request_id;
   if (observing) ticket.begin_ns_ = obs::detail::now_ns();
 
-  Impl::DesignSlot* slot = impl_->find_slot(design, "NoiseServer::submit");
-  Impl::Shard& shard = *impl_->shards_[static_cast<std::size_t>(slot->shard)];
+  Impl::DesignSlot* slot = nullptr;
+  std::shared_ptr<Impl::DesignEntry> entry;
+  {
+    std::lock_guard<std::mutex> lock(impl_->mu_);
+    slot = &impl_->slot(design, "NoiseServer::submit");
+    if (!impl_->stopping_) entry = slot->active;
+  }
 
   // A rejected submit still yields a redeemable ticket: the promise is
   // resolved inline and wait() returns immediately.
@@ -490,16 +483,10 @@ Ticket NoiseServer::submit(DesignId design,
     promise.set_value(std::move(resp));
     return std::move(ticket);
   };
-
-  std::shared_ptr<Impl::DesignEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.stopping) return reject(Status::kShutdown);
-    entry = slot->active;
-  }
+  if (!entry) return reject(Status::kShutdown);
 
   // Per-request compression runs on the caller's thread, overlapping with
-  // the shard workers' fused forward passes and other clients' prepares.
+  // the workers' fused forward passes and other clients' prepares.
   Impl::Request request;
   request.slot = slot;
   request.entry = entry;
@@ -528,31 +515,32 @@ Ticket NoiseServer::submit(DesignId design,
   request.promise = std::move(promise);
 
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.stopping) {
+    std::lock_guard<std::mutex> lock(impl_->mu_);
+    Impl::Shard& home = impl_->shard(slot->shard);
+    if (impl_->stopping_) {
       promise = std::move(request.promise);
       return reject(Status::kShutdown);
     }
-    if (static_cast<int>(shard.queue.size()) >= options_.queue_capacity) {
-      ++shard.stats.overloads;
+    if (static_cast<int>(home.queue.size()) >= options_.queue_capacity) {
+      ++home.stats.overloads;
       obs::counter_add(obs::Counter::kServeOverloads, 1);
       obs::flight_record(obs::FlightEventKind::kOverload, request_id,
                          slot->id.value, options_.queue_capacity);
       promise = std::move(request.promise);
       return reject(Status::kOverloaded);
     }
-    shard.queue.push_back(std::move(request));
-    ++shard.stats.requests;
-    const int depth = static_cast<int>(shard.queue.size());
-    shard.stats.queue_depth_max = std::max(shard.stats.queue_depth_max, depth);
+    home.queue.push_back(std::move(request));
+    ++home.stats.requests;
+    const int depth = static_cast<int>(home.queue.size());
+    home.stats.queue_depth_max = std::max(home.stats.queue_depth_max, depth);
     obs::counter_add(obs::Counter::kServeRequests, 1);
     obs::counter_max(obs::Counter::kServeQueueDepthMax, depth);
     obs::hist_record(obs::Hist::kServeQueueDepth, depth);
-    if (observing) shard.queue_depth.record(depth);
+    if (observing) home.queue_depth.record(depth);
     obs::flight_record(obs::FlightEventKind::kAdmit, request_id,
                        slot->id.value, depth);
   }
-  shard.cv.notify_one();
+  impl_->cv_.notify_one();
   return ticket;
 }
 
@@ -581,114 +569,106 @@ Response NoiseServer::predict(DesignId design,
 
 SwapReport NoiseServer::swap_artifact(DesignId design,
                                       const std::string& path) {
-  Impl::DesignSlot* slot =
-      impl_->find_slot(design, "NoiseServer::swap_artifact");
+  const pdn::PowerGrid* grid = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(impl_->mu_);
+    grid = impl_->slot(design, "NoiseServer::swap_artifact").grid;
+  }
   core::ModelArtifact artifact = core::load_artifact(path);
   PDN_CHECK(artifact.model != nullptr,
             "NoiseServer::swap_artifact: artifact has no model");
   const quant::ParamDtype incoming_dtype = artifact.dtype;
-  auto entry = std::make_shared<Impl::DesignEntry>(*slot->grid,
-                                                   std::move(artifact));
-  Impl::Shard& shard = *impl_->shards_[static_cast<std::size_t>(slot->shard)];
+  auto entry = std::make_shared<Impl::DesignEntry>(*grid, std::move(artifact));
   const bool direct =
       options_.canary_fraction <= 0.0 || options_.canary_requests <= 0;
 
-  std::lock_guard<std::mutex> lock(shard.mu);
-  PDN_CHECK(!shard.stopping,
+  std::lock_guard<std::mutex> lock(impl_->mu_);
+  Impl::DesignSlot& slot = impl_->slot(design, "NoiseServer::swap_artifact");
+  PDN_CHECK(!impl_->stopping_,
             "NoiseServer::swap_artifact: server is shut down");
   // A candidate storing weights in a different dtype than the incumbent
   // cannot reproduce the incumbent's bytes; canarying it needs an explicit
   // accuracy budget.
-  if (!direct && incoming_dtype != slot->active->artifact.dtype) {
+  if (!direct && incoming_dtype != slot.active->artifact.dtype) {
     PDN_CHECK(
         options_.swap_tolerance_volts > 0.0,
         "NoiseServer::swap_artifact: candidate dtype (" +
             std::string(quant::dtype_name(incoming_dtype)) +
             ") differs from the incumbent's (" +
-            quant::dtype_name(slot->active->artifact.dtype) +
+            quant::dtype_name(slot.active->artifact.dtype) +
             "); canarying a cross-dtype swap requires "
             "ServeOptions::swap_tolerance_volts > 0 (or disable canarying "
             "to promote directly)");
   }
-  ++slot->swap_seq;  // invalidates canary verdicts for a superseded swap
-  slot->canary_accum = 0.0;
-  slot->swap = SwapReport{};
+  ++slot.swap_seq;  // invalidates canary verdicts for a superseded swap
+  slot.canary_accum = 0.0;
+  slot.canary_reserved = 0;
+  slot.swap = SwapReport{};
   obs::counter_add(obs::Counter::kServeSwapsBegun, 1);
-  obs::flight_record(obs::FlightEventKind::kSwap, 0, slot->id.value,
+  obs::flight_record(obs::FlightEventKind::kSwap, 0, slot.id.value,
                      direct ? 0 : options_.canary_requests);
   if (direct) {
-    slot->active = std::move(entry);
-    slot->candidate.reset();
-    slot->swap.state = SwapState::kPromoted;
+    slot.active = std::move(entry);
+    slot.candidate.reset();
+    slot.swap.state = SwapState::kPromoted;
     obs::counter_add(obs::Counter::kServeSwapPromotes, 1);
-    obs::flight_record(obs::FlightEventKind::kSwapPromote, 0,
-                       slot->id.value, 0);
+    obs::flight_record(obs::FlightEventKind::kSwapPromote, 0, slot.id.value,
+                       0);
   } else {
-    slot->candidate = std::move(entry);
-    slot->swap.state = SwapState::kCanarying;
+    slot.candidate = std::move(entry);
+    slot.swap.state = SwapState::kCanarying;
   }
-  return slot->swap;
+  return slot.swap;
 }
 
 SwapReport NoiseServer::swap_report(DesignId design) const {
-  Impl::DesignSlot* slot =
-      impl_->find_slot(design, "NoiseServer::swap_report");
-  Impl::Shard& shard = *impl_->shards_[static_cast<std::size_t>(slot->shard)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return slot->swap;
+  std::lock_guard<std::mutex> lock(impl_->mu_);
+  return impl_->slot(design, "NoiseServer::swap_report").swap;
 }
 
 void NoiseServer::shutdown() {
-  impl_->stopping_.store(true, std::memory_order_relaxed);
-  bool joined = false;
-  std::int64_t completed = 0;
-  for (auto& shard : impl_->shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->stopping = true;
-      shard->paused = false;  // the drain must proceed even if paused
-    }
-    shard->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(impl_->mu_);
+    impl_->stopping_ = true;
+    impl_->paused_ = false;  // the drain must proceed even if paused
   }
-  for (auto& shard : impl_->shards_) {
-    if (shard->worker.joinable()) {
-      shard->worker.join();
+  impl_->cv_.notify_all();
+  bool joined = false;
+  for (Impl::Shard& shard : impl_->shards_) {
+    if (shard.worker.joinable()) {
+      shard.worker.join();
       joined = true;
     }
-    std::lock_guard<std::mutex> lock(shard->mu);
-    completed += shard->stats.completed;
   }
   if (joined) {
-    obs::flight_record(obs::FlightEventKind::kShutdown, 0, 0, completed);
+    obs::flight_record(obs::FlightEventKind::kShutdown, 0, 0,
+                       stats().completed);
   }
 }
 
 void NoiseServer::pause() {
-  for (auto& shard : impl_->shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->paused = true;
-  }
+  std::lock_guard<std::mutex> lock(impl_->mu_);
+  impl_->paused_ = true;
 }
 
 void NoiseServer::resume() {
-  for (auto& shard : impl_->shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->paused = false;
-    }
-    shard->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(impl_->mu_);
+    impl_->paused_ = false;
   }
+  impl_->cv_.notify_all();
 }
 
 int NoiseServer::shard_of(DesignId design) const {
-  return impl_->find_slot(design, "NoiseServer::shard_of")->shard;
+  std::lock_guard<std::mutex> lock(impl_->mu_);
+  return impl_->slot(design, "NoiseServer::shard_of").shard;
 }
 
 int NoiseServer::queue_depth() const {
+  std::lock_guard<std::mutex> lock(impl_->mu_);
   int depth = 0;
-  for (const auto& shard : impl_->shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    depth += static_cast<int>(shard->queue.size());
+  for (const Impl::Shard& shard : impl_->shards_) {
+    depth += static_cast<int>(shard.queue.size());
   }
   return depth;
 }
@@ -697,16 +677,15 @@ int NoiseServer::shard_queue_depth(int shard) const {
   PDN_CHECK(shard >= 0 && shard < options_.num_shards,
             "NoiseServer::shard_queue_depth: unknown shard " +
                 std::to_string(shard));
-  const Impl::Shard& s = *impl_->shards_[static_cast<std::size_t>(shard)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return static_cast<int>(s.queue.size());
+  std::lock_guard<std::mutex> lock(impl_->mu_);
+  return static_cast<int>(impl_->shard(shard).queue.size());
 }
 
 NoiseServer::Stats NoiseServer::stats() const {
+  std::lock_guard<std::mutex> lock(impl_->mu_);
   Stats total;
-  for (const auto& shard : impl_->shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const Stats& s = shard->stats;
+  for (const Impl::Shard& shard : impl_->shards_) {
+    const Stats& s = shard.stats;
     total.requests += s.requests;
     total.completed += s.completed;
     total.batches += s.batches;
@@ -723,8 +702,8 @@ NoiseServer::ShardStats NoiseServer::shard_stats(int shard) const {
   PDN_CHECK(shard >= 0 && shard < options_.num_shards,
             "NoiseServer::shard_stats: unknown shard " +
                 std::to_string(shard));
-  const Impl::Shard& s = *impl_->shards_[static_cast<std::size_t>(shard)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::lock_guard<std::mutex> lock(impl_->mu_);
+  const Impl::Shard& s = impl_->shard(shard);
   ShardStats out;
   out.totals = s.stats;
   out.queue_depth = s.queue_depth;
@@ -732,14 +711,13 @@ NoiseServer::ShardStats NoiseServer::shard_stats(int shard) const {
 }
 
 NoiseServer::DesignStats NoiseServer::design_stats(DesignId design) const {
-  Impl::DesignSlot* slot =
-      impl_->find_slot(design, "NoiseServer::design_stats");
-  Impl::Shard& shard = *impl_->shards_[static_cast<std::size_t>(slot->shard)];
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<std::mutex> lock(impl_->mu_);
+  const Impl::DesignSlot& slot =
+      impl_->slot(design, "NoiseServer::design_stats");
   DesignStats out;
-  out.name = slot->name;
-  out.completed = slot->completed;
-  out.request_nanos = slot->request_nanos;
+  out.name = slot.name;
+  out.completed = slot.completed;
+  out.request_nanos = slot.request_nanos;
   return out;
 }
 

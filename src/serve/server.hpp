@@ -2,27 +2,28 @@
 //
 // A NoiseServer owns one ModelArtifact per registered design (model weights
 // + spatial/temporal compressors + normalization, bundled by
-// core::load_artifact) and `ServeOptions::num_shards` worker threads. Each
-// design is pinned to exactly one shard by consistent hashing of its
-// DesignId onto a fixed ring (64 virtual points per shard), so all traffic
-// for a design flows through one worker and per-design state never needs
-// cross-shard coordination; growing the shard count remaps only the designs
-// whose ring arc moved. Each shard owns its bounded FIFO queue, fuses its
-// own micro-batches (up to ServeOptions::max_batch same-design requests
-// taken strictly from the queue front), and applies admission control
-// independently — a full shard rejects with Status::kOverloaded without
-// affecting designs pinned to other shards.
+// core::load_artifact) and `ServeOptions::num_shards` worker threads, each
+// with one bounded FIFO queue. A design's requests queue on its home shard,
+// `id % num_shards`, which also owns their admission control: a full home
+// queue rejects with Status::kOverloaded without affecting designs homed
+// elsewhere. A worker serves its own queue while it holds work; once it is
+// empty, the worker takes its next batch from the front of the longest
+// other queue, so the load spreads over every worker whatever the mix of
+// designs. A batch is up to ServeOptions::max_batch same-artifact requests
+// taken strictly from one queue's front. One server mutex guards every
+// queue and every design's swap state, so batches of one design may run on
+// several workers at once without a second lock.
 //
 // Client API: submit() runs the per-request compression
 // (WorstCasePipeline::prepare) on the *caller's* thread, enqueues the
-// prepared request on the design's shard, and returns a movable Ticket
+// prepared request on the design's home shard, and returns a movable Ticket
 // without blocking; wait() blocks on the Ticket for the Response. The
 // blocking predict() is the trivial composition wait(submit(...)). Open-loop
 // load generators use submit()/wait() directly so arrivals are never gated
 // on completions.
 //
 // Determinism: per-request outputs are bit-identical to a serial predict()
-// at any shard count, client count, and batch width. Sharding only changes
+// at any shard count, client count, and batch width. Placement only changes
 // *which* worker fuses a request and batching only changes which requests
 // share a forward pass; conv lowers and multiplies each batch sample
 // independently (pipeline.hpp), so neither changes per-request bits —
@@ -51,13 +52,13 @@
 // must state the accuracy budget, it is never inferred.
 //
 // Robustness:
-//   * Backpressure  — per-shard bounded queues; when a design's shard is
-//     full, submit() resolves the Ticket with Status::kOverloaded.
+//   * Backpressure  — per-shard bounded queues; when a design's home queue
+//     is full, submit() resolves the Ticket with Status::kOverloaded.
 //   * Deadlines     — a request carries an optional deadline; if it is still
-//     queued when the deadline passes the shard worker rejects it with
-//     Status::kTimedOut instead of wasting a batch slot.
-//   * Graceful drain — shutdown() stops accepting new requests, lets every
-//     shard finish everything already queued, then joins the workers. The
+//     queued when the deadline passes the worker that dequeues it rejects
+//     it with Status::kTimedOut instead of wasting a batch slot.
+//   * Graceful drain — shutdown() stops accepting new requests, lets the
+//     workers finish everything already queued, then joins them. The
 //     destructor calls shutdown().
 //
 // Observability: every accepted request and executed batch bumps the
@@ -91,7 +92,7 @@ namespace pdnn::serve {
 enum class Status {
   kInvalid,     ///< default-constructed Response; the server never returns it
   kOk,          ///< noise map computed
-  kOverloaded,  ///< rejected at enqueue: the design's shard queue was full
+  kOverloaded,  ///< rejected at enqueue: the design's home queue was full
   kTimedOut,    ///< rejected at dequeue: deadline passed while queued
   kShutdown,    ///< rejected: server is (or went) down
 };
@@ -112,8 +113,9 @@ struct DesignId {
 };
 
 struct ServeOptions {
-  /// Worker threads; each owns one queue and serves the designs whose ring
-  /// position hashes onto it.
+  /// Worker threads, each with one queue. Design `id` queues on shard
+  /// `id % num_shards`; a worker whose queue is empty takes batches from
+  /// the longest other queue.
   int num_shards = 1;
   /// Widest fused micro-batch (requests per infer_batch call).
   int max_batch = 8;
@@ -143,7 +145,7 @@ struct Response {
   double infer_seconds = 0.0;  ///< wall time of the fused batch this rode in
   int batch_width = 0;         ///< width of that fused batch
   int kept_steps = 0;          ///< post-Algorithm-1 steps for this request
-  int shard = -1;              ///< shard that served (or rejected) it
+  int shard = -1;  ///< worker that served it; the home shard if rejected
   std::int64_t request_id = 0; ///< process-unique id tying traces/telemetry
 };
 
@@ -202,7 +204,7 @@ class NoiseServer {
                       core::ModelArtifact artifact);
 
   /// Prepare one test vector on the calling thread and enqueue it on the
-  /// design's shard without blocking for the result. `deadline_seconds`
+  /// design's home shard without blocking for the result. `deadline_seconds`
   /// nullopt uses ServeOptions::default_deadline_seconds; a value <= 0
   /// explicitly disables the deadline. Safe from many threads concurrently.
   Ticket submit(DesignId design, const vectors::CurrentTrace& trace,
@@ -238,7 +240,8 @@ class NoiseServer {
 
   int num_shards() const { return options_.num_shards; }
 
-  /// Shard a design's traffic flows through (fixed at registration).
+  /// A design's home shard, `id % num_shards`: the queue its requests
+  /// wait in and the admission control they face.
   int shard_of(DesignId design) const;
 
   /// Requests currently waiting across all shards (excludes any batch
@@ -248,6 +251,9 @@ class NoiseServer {
   int shard_queue_depth(int shard) const;
 
   /// Server-local totals (the obs serve.* counters are process-global).
+  /// Per shard, `requests`, `timeouts`, `overloads` and `queue_depth_max`
+  /// count the shard's own queue; `completed`, `batches` and
+  /// `batch_width_max` count what its worker served, from any queue.
   struct Stats {
     std::int64_t requests = 0;   ///< accepted into a shard queue
     std::int64_t completed = 0;  ///< served with kOk

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -494,6 +495,9 @@ TEST(ServeFleet, ShardAndClientCountsNeverChangeServedBytes) {
       for (std::thread& w : workers) w.join();
       server.shutdown();
 
+      // Any worker may serve any design, so a response names the worker
+      // that served it, and each worker's completions count exactly those.
+      std::vector<std::int64_t> served(static_cast<std::size_t>(shards), 0);
       for (std::size_t i = 0; i < total; ++i) {
         const std::size_t t = i % f.traces.size();
         ASSERT_EQ(responses[i].status, serve::Status::kOk)
@@ -501,16 +505,17 @@ TEST(ServeFleet, ShardAndClientCountsNeverChangeServedBytes) {
         EXPECT_TRUE(maps_equal(responses[i].noise, expected[t]))
             << "request " << i << " at " << shards << " shards, " << clients
             << " clients";
-        EXPECT_EQ(responses[i].shard,
-                  server.shard_of(ids[i / f.traces.size()]));
+        ASSERT_GE(responses[i].shard, 0);
+        ASSERT_LT(responses[i].shard, shards);
+        ++served[static_cast<std::size_t>(responses[i].shard)];
       }
-      // Per-shard totals tile the aggregate.
-      std::int64_t completed = 0;
       for (int s = 0; s < shards; ++s) {
-        completed += server.shard_stats(s).totals.completed;
+        EXPECT_EQ(served[static_cast<std::size_t>(s)],
+                  server.shard_stats(s).totals.completed)
+            << "shard " << s << " at " << shards << " shards, " << clients
+            << " clients";
         EXPECT_EQ(server.shard_queue_depth(s), 0);
       }
-      EXPECT_EQ(completed, static_cast<std::int64_t>(total));
       EXPECT_EQ(server.stats().completed, static_cast<std::int64_t>(total));
     }
   }
@@ -527,8 +532,8 @@ TEST(ServeFleet, ShardingIsStableAcrossServersAndOverloadIsPerShard) {
   for (int d = 0; d < 8; ++d) {
     ids.push_back(server.add_design("d" + std::to_string(d), f.grid,
                                     f.artifact()));
-    // The ring depends only on (shard count, design id): a second fleet
-    // routes the same design identically.
+    // The home shard depends only on (shard count, design id): a second
+    // fleet queues the same design on the same shard.
     other.add_design("d" + std::to_string(d), f.grid, f.artifact());
     EXPECT_EQ(server.shard_of(ids.back()), other.shard_of(ids.back()));
   }
@@ -893,6 +898,167 @@ TEST(SwapUnderLoad, NeverDropsDuplicatesOrCorruptsRequests) {
     EXPECT_EQ(report.diverged, 0);
     EXPECT_NE(report.state, serve::SwapState::kRolledBack);
   }
+}
+
+TEST(SwapUnderLoad, StolenBatchesKeepTheirGeneration) {
+  // At 2 shards ids 0 and 2 both have shard 0 as home and id 1 gets no
+  // traffic, so every batch worker 1 runs is taken from shard 0's queue.
+  // A direct swap of id 0 mid-run must still answer each request with the
+  // generation it was prepared against, and never touch id 2's bytes.
+  Fixture f(8);
+  const core::WorstCasePipeline old_pipeline = f.pipeline();
+  const std::unique_ptr<core::WorstCaseNoiseNet> next = f.divergent_model();
+  const core::WorstCasePipeline new_pipeline(
+      f.grid, *next, core::PipelineOptions{f.temporal});
+  std::vector<util::MapF> old_maps;
+  std::vector<util::MapF> new_maps;
+  for (const auto& trace : f.traces) {
+    old_maps.push_back(old_pipeline.predict(trace));
+    new_maps.push_back(new_pipeline.predict(trace));
+  }
+
+  serve::ServeOptions options;
+  options.num_shards = 2;
+  options.canary_fraction = 0.0;  // swap_artifact() promotes directly
+  serve::NoiseServer server(options);
+  std::vector<serve::DesignId> ids;
+  for (int d = 0; d < 3; ++d) {
+    ids.push_back(server.add_design("d" + std::to_string(d), f.grid,
+                                    f.artifact()));
+  }
+  ASSERT_EQ(server.shard_of(ids[0]), 0);
+  ASSERT_EQ(server.shard_of(ids[2]), 0);
+  const std::string path = f.artifact_file(*next, "stolen");
+
+  // Request k of a client goes to id 0 when k is even, id 2 when odd.
+  constexpr int kClients = 8;
+  constexpr std::size_t kPerClient = 32;
+  std::vector<serve::Response> responses(kClients * kPerClient);
+  std::vector<char> after_swap(responses.size(), 0);
+  std::atomic<bool> swapped{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t k = 0; k < kPerClient; ++k) {
+        const std::size_t at = static_cast<std::size_t>(c) * kPerClient + k;
+        after_swap[at] = swapped.load() ? 1 : 0;
+        responses[at] = server.predict(ids[k % 2 == 0 ? 0 : 2],
+                                       f.traces[(k / 2) % f.traces.size()]);
+      }
+    });
+  }
+  // Swap mid-run, once kPerClient requests have been answered.
+  EXPECT_TRUE(Fixture::eventually([&] {
+    return server.stats().completed >= static_cast<std::int64_t>(kPerClient);
+  }));
+  EXPECT_EQ(server.swap_artifact(ids[0], path).state,
+            serve::SwapState::kPromoted);
+  swapped.store(true);
+  for (std::thread& c : clients) c.join();
+  server.shutdown();
+  std::remove(path.c_str());
+
+  std::size_t submitted_after = 0;
+  std::vector<std::int64_t> seen_ids;
+  for (std::size_t at = 0; at < responses.size(); ++at) {
+    const std::size_t k = at % kPerClient;
+    const std::size_t t = (k / 2) % f.traces.size();
+    const serve::Response& r = responses[at];
+    ASSERT_EQ(r.status, serve::Status::kOk) << "request " << at;
+    seen_ids.push_back(r.request_id);
+    if (k % 2 == 1) {
+      EXPECT_TRUE(maps_equal(r.noise, old_maps[t]))
+          << "request " << at << " to id 2 got another generation";
+    } else if (after_swap[at]) {
+      ++submitted_after;
+      EXPECT_TRUE(maps_equal(r.noise, new_maps[t]))
+          << "request " << at << " submitted after the swap got old bytes";
+    } else {
+      EXPECT_TRUE(maps_equal(r.noise, old_maps[t]) ||
+                  maps_equal(r.noise, new_maps[t]))
+          << "request " << at << " matched neither generation";
+    }
+  }
+  EXPECT_GT(submitted_after, 0u);
+  std::sort(seen_ids.begin(), seen_ids.end());
+  EXPECT_TRUE(std::adjacent_find(seen_ids.begin(), seen_ids.end()) ==
+              seen_ids.end())
+      << "a request was answered twice";
+  EXPECT_EQ(server.stats().completed,
+            static_cast<std::int64_t>(responses.size()));
+  EXPECT_EQ(server.shard_stats(1).totals.requests, 0);
+  EXPECT_GT(server.shard_stats(1).totals.completed, 0)
+      << "worker 1 never took a batch from shard 0's queue";
+}
+
+TEST(SwapUnderLoad, StolenBatchesCanaryExactlyCanaryRequests) {
+  // The canaried variant. While the fleet is paused, the first request of
+  // every client queues on shard 0, all for id 0; on resume both workers
+  // take a batch of id 0 at once. The canaries the first batch picked are
+  // reserved, so the second picks none and exactly canary_requests
+  // comparisons run.
+  Fixture f(8);
+  const core::WorstCasePipeline pipeline = f.pipeline();
+  std::vector<util::MapF> expected;
+  for (const auto& trace : f.traces) {
+    expected.push_back(pipeline.predict(trace));
+  }
+  obs::set_enabled(true);
+  const obs::CounterSnapshot before = obs::snapshot_counters();
+
+  constexpr int kClients = 8;
+  serve::ServeOptions options;
+  options.num_shards = 2;
+  options.max_batch = kClients / 2;  // the queued requests make 2 batches
+  options.canary_fraction = 1.0;
+  options.canary_requests = 2;
+  serve::NoiseServer server(options);
+  std::vector<serve::DesignId> ids;
+  for (int d = 0; d < 3; ++d) {
+    ids.push_back(server.add_design("d" + std::to_string(d), f.grid,
+                                    f.artifact()));
+  }
+  const std::string path = f.artifact_file(*f.model, "canary");
+
+  server.pause();
+  constexpr std::size_t kPerClient = 16;
+  std::vector<serve::Response> responses(kClients * kPerClient);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t k = 0; k < kPerClient; ++k) {
+        responses[static_cast<std::size_t>(c) * kPerClient + k] =
+            server.predict(ids[k % 2 == 0 ? 0 : 2],
+                           f.traces[(k / 2) % f.traces.size()]);
+      }
+    });
+  }
+  EXPECT_TRUE(Fixture::eventually(
+      [&] { return server.shard_queue_depth(0) == kClients; }));
+  EXPECT_EQ(server.swap_artifact(ids[0], path).state,
+            serve::SwapState::kCanarying);
+  server.resume();
+  for (std::thread& c : clients) c.join();
+  server.shutdown();
+  std::remove(path.c_str());
+  const obs::CounterSnapshot after = obs::snapshot_counters();
+  obs::flight().clear();
+  obs::set_enabled(false);
+  obs::reset_histograms();
+
+  for (std::size_t at = 0; at < responses.size(); ++at) {
+    const std::size_t t = ((at % kPerClient) / 2) % f.traces.size();
+    ASSERT_EQ(responses[at].status, serve::Status::kOk) << "request " << at;
+    EXPECT_TRUE(maps_equal(responses[at].noise, expected[t]))
+        << "request " << at;
+  }
+  const serve::SwapReport report = server.swap_report(ids[0]);
+  EXPECT_EQ(report.state, serve::SwapState::kPromoted);
+  EXPECT_EQ(report.canaried, 2);
+  EXPECT_EQ(report.diverged, 0);
+  EXPECT_EQ(obs::counter_reading(before, after,
+                                 obs::Counter::kServeSwapCanaries), 2)
+      << "comparisons ran beyond canary_requests";
 }
 
 TEST(SwapTelemetry, LifecycleEventsLandInCountersAndFlightRecorder) {
