@@ -10,7 +10,6 @@
 
 #include "bench_common.hpp"
 #include "nn/optimizer.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
   for (const auto& s : ex.raw.samples) {
     inputs.push_back(stats_tensor(s, ex.raw.current_scale));
   }
-  util::WallTimer plain_timer;
+  obs::StageTimer plain_timer;
   {
     nn::Adam opt(plain.parameters(), options.lr);
     util::Rng shuffle_rng(13);
@@ -98,7 +97,7 @@ int main(int argc, char** argv) {
   double plain_seconds = 0.0;
   for (int idx : ex.data.split.test) {
     const int ri = ex.data.samples[static_cast<std::size_t>(idx)].raw_index;
-    util::WallTimer t;
+    obs::StageTimer t;
     nn::NoGradGuard guard;
     const nn::Var pred =
         plain.forward(nn::Var(inputs[static_cast<std::size_t>(ri)]));

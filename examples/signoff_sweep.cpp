@@ -14,9 +14,9 @@
 #include "core/dataset.hpp"
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
+#include "obs/obs.hpp"
 #include "sim/calibrate.hpp"
 #include "util/cli.hpp"
-#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace pdnn;
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   std::vector<Screened> screened;
   std::vector<vectors::CurrentTrace> traces;
 
-  util::WallTimer screen_timer;
+  obs::StageTimer screen_timer;
   for (int v = 0; v < num_vectors; ++v) {
     traces.push_back(signoff_gen.generate());
     const util::MapF map = pipeline.predict(traces.back());

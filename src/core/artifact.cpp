@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <fstream>
 
-#include "nn/serialize.hpp"
 #include "quant/serialize.hpp"
 #include "store/container.hpp"
 #include "util/check.hpp"
@@ -61,14 +60,19 @@ ModelArtifact read_header(std::istream& in, const std::string& path) {
   return art;
 }
 
-/// Write the common header (magic through temporal options) for the given
-/// container version.
-void write_header(std::ostream& out, std::uint32_t version,
-                  const ModelConfig& c,
-                  const TemporalCompressionOptions& temporal,
-                  const std::string& path) {
+/// Write one PDNB file: fp32 as version 1, fp16 and int8 as version 2 with
+/// the dtype field after the temporal options.
+void write_artifact(WorstCaseNoiseNet& model,
+                    const TemporalCompressionOptions& temporal,
+                    quant::ParamDtype dtype,
+                    const quant::CalibrationResult& calibration,
+                    const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  PDN_CHECK(out.good(), "save_artifact: cannot open " + path);
+  const bool v1 = dtype == quant::ParamDtype::kF32;
+  const ModelConfig& c = model.config();
   store::write_magic(out, kMagic);
-  write_field(out, version);
+  write_field(out, v1 ? kVersion : kVersionQuant);
   write_field(out, static_cast<std::int32_t>(c.distance_channels));
   write_field(out, static_cast<std::int32_t>(c.tile_rows));
   write_field(out, static_cast<std::int32_t>(c.tile_cols));
@@ -80,7 +84,8 @@ void write_header(std::ostream& out, std::uint32_t version,
   write_field(out, c.init_seed);
   write_field(out, temporal.rate);
   write_field(out, temporal.rate_step);
-  PDN_CHECK(out.good(), "save_artifact: header write failed for " + path);
+  if (!v1) write_field(out, static_cast<std::uint32_t>(dtype));
+  quant::write_weights(model.parameters(), dtype, out, path, calibration);
 }
 
 /// Scalars in a UNet2(in, c, out) and a FusionNet(c), counted from the layer
@@ -105,9 +110,8 @@ void check_weight_payload(const ModelArtifact& art, std::istream& in,
   const std::streamoff left = in.tellg() - weights_at;
   in.seekg(weights_at);
   double bytes_per_scalar = 4.0;
-  if (art.version == kVersionQuant) {
-    bytes_per_scalar = art.dtype == quant::ParamDtype::kF16 ? 2.0 : 1.0;
-  }
+  if (art.dtype == quant::ParamDtype::kF16) bytes_per_scalar = 2.0;
+  if (art.dtype == quant::ParamDtype::kInt8) bytes_per_scalar = 1.0;
   const auto check = [&](double scalars, const char* fields) {
     PDN_CHECK(scalars * bytes_per_scalar <= static_cast<double>(left),
               std::string("load_artifact: field ") + fields +
@@ -126,31 +130,21 @@ void check_weight_payload(const ModelArtifact& art, std::istream& in,
 void save_artifact(WorstCaseNoiseNet& model,
                    const TemporalCompressionOptions& temporal,
                    const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  PDN_CHECK(out.good(), "save_artifact: cannot open " + path);
-  write_header(out, kVersion, model.config(), temporal, path);
-  nn::save_parameters(model.parameters(), out, path);
+  write_artifact(model, temporal, quant::ParamDtype::kF32, {}, path);
 }
 
 void save_artifact_f16(WorstCaseNoiseNet& model,
                        const TemporalCompressionOptions& temporal,
                        const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  PDN_CHECK(out.good(), "save_artifact_f16: cannot open " + path);
-  write_header(out, kVersionQuant, model.config(), temporal, path);
-  write_field(out, static_cast<std::uint32_t>(quant::ParamDtype::kF16));
-  quant::write_f16_block(model.parameters(), out, path);
+  write_artifact(model, temporal, quant::ParamDtype::kF16, {}, path);
 }
 
 void save_artifact_int8(WorstCaseNoiseNet& model,
                         const TemporalCompressionOptions& temporal,
                         const quant::CalibrationResult& calibration,
                         const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  PDN_CHECK(out.good(), "save_artifact_int8: cannot open " + path);
-  write_header(out, kVersionQuant, model.config(), temporal, path);
-  write_field(out, static_cast<std::uint32_t>(quant::ParamDtype::kInt8));
-  quant::write_int8_block(model.parameters(), calibration, out, path);
+  write_artifact(model, temporal, quant::ParamDtype::kInt8, calibration,
+                 path);
 }
 
 ModelArtifact load_artifact(const std::string& path) {
@@ -160,12 +154,10 @@ ModelArtifact load_artifact(const std::string& path) {
   check_weight_payload(art, in, path);
   art.model = std::make_unique<WorstCaseNoiseNet>(art.config);
   const std::vector<nn::Parameter*> params = art.model->parameters();
-  if (art.version == kVersion) {
-    nn::load_parameters(params, in, path);
-  } else if (art.dtype == quant::ParamDtype::kF16) {
-    quant::read_f16_block(params, in, path);
-  } else {
-    quant::read_int8_block(params, in, path);
+  std::vector<nn::Tensor> weights =
+      quant::read_weights(params, art.dtype, in, path);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    params[i]->var.mutable_value() = std::move(weights[i]);
   }
   return art;
 }

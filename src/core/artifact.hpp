@@ -10,12 +10,10 @@
 //   f32    current_scale, noise_scale
 //   u64    init_seed
 //   f64    temporal.rate, temporal.rate_step
-//   -- version 1 --
-//   "PDNW" fp32 weight block          (nn/serialize layout)
-//   -- version 2 --
-//   u32    dtype                      (quant::ParamDtype: 1=fp16, 2=int8)
-//   "PDNH" fp16 weight block, or
-//   "PDNQ" int8 weight block + "PDNA" activation scales (quant/serialize)
+//   u32    dtype (version 2 only)     (quant::ParamDtype: 1=fp16, 2=int8)
+//   one weight block, coded by quant/serialize:
+//     "PDNW" fp32 (version 1), "PDNH" fp16, or
+//     "PDNQ" int8 + "PDNA" activation scales
 //
 // Every read is checked; truncation, a bad magic, or a shape mismatch throws
 // util::CheckError naming the offending field. The field read/write and

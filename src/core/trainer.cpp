@@ -4,8 +4,8 @@
 #include <sstream>
 
 #include "nn/conv.hpp"
-#include "nn/serialize.hpp"
 #include "obs/obs.hpp"
+#include "quant/serialize.hpp"
 #include "store/container.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -41,7 +41,7 @@ void save_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
     store::write_field(body, state.train_loss[i]);
     store::write_field(body, state.val_loss[i]);
   }
-  nn::save_parameters(model.parameters(), body, path);
+  quant::write_weights(model.parameters(), quant::ParamDtype::kF32, body, path);
   store::write_field(body,
                      static_cast<std::int32_t>(optimizer.steps_taken()));
   const std::vector<nn::Tensor*> moments = optimizer.state_tensors();
@@ -85,43 +85,58 @@ bool load_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
         store::read_field<std::uint8_t>(in, path, "rng_cached_flag") != 0;
     ck.rng.cached_normal =
         store::read_field<double>(in, path, "rng_cached_normal");
+    // The counts are not reserved up front: the checksum does not bound
+    // them, and a count the file cannot hold must end in a truncated read.
     const auto order_n =
         store::read_field<std::uint32_t>(in, path, "order_count");
-    ck.order.reserve(order_n);
     for (std::uint32_t i = 0; i < order_n; ++i) {
       ck.order.push_back(store::read_field<std::int32_t>(in, path, "order"));
     }
     const auto loss_n =
         store::read_field<std::uint32_t>(in, path, "loss_count");
-    ck.train_loss.reserve(loss_n);
-    ck.val_loss.reserve(loss_n);
     for (std::uint32_t i = 0; i < loss_n; ++i) {
       ck.train_loss.push_back(
           store::read_field<double>(in, path, "train_loss"));
       ck.val_loss.push_back(store::read_field<double>(in, path, "val_loss"));
     }
-    // Name/shape verification inside load_parameters rejects a checkpoint
-    // from a different architecture with a named CheckError.
-    nn::load_parameters(model.parameters(), in, path);
-    optimizer.set_steps_taken(
-        store::read_field<std::int32_t>(in, path, "adam_t"));
+    // Weights and moments decode into scratch tensors and are committed only
+    // once every field has verified, so a rejected checkpoint leaves the
+    // model and the optimizer untouched. The weight reader's name/shape
+    // checks reject a checkpoint from a different architecture.
+    const std::vector<nn::Parameter*> params = model.parameters();
+    std::vector<nn::Tensor> weights =
+        quant::read_weights(params, quant::ParamDtype::kF32, in, path);
+    const auto steps = store::read_field<std::int32_t>(in, path, "adam_t");
+    PDN_CHECK(steps >= 0,
+              "negative step count in " + path + " (field 'adam_t')");
     const auto moment_n =
         store::read_field<std::uint32_t>(in, path, "moment_count");
     const std::vector<nn::Tensor*> moments = optimizer.state_tensors();
     PDN_CHECK(moment_n == moments.size(),
               "moment tensor count mismatch in " + path +
                   " (field 'moment_count')");
-    for (nn::Tensor* t : moments) {
+    std::vector<nn::Tensor> moment_values;
+    moment_values.reserve(moments.size());
+    for (const nn::Tensor* t : moments) {
       const auto numel =
           store::read_field<std::uint64_t>(in, path, "moment_numel");
       PDN_CHECK(numel == static_cast<std::uint64_t>(t->numel()),
                 "moment tensor size mismatch in " + path +
                     " (field 'moment_numel')");
-      in.read(reinterpret_cast<char*>(t->data()),
-              static_cast<std::streamsize>(t->numel() * sizeof(float)));
+      nn::Tensor m(t->shape());
+      in.read(reinterpret_cast<char*>(m.data()),
+              static_cast<std::streamsize>(m.numel() * sizeof(float)));
       PDN_CHECK(in.good(),
                 "truncated file " + path + " reading field 'moment_data'");
+      moment_values.push_back(std::move(m));
     }
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      params[i]->var.mutable_value() = std::move(weights[i]);
+    }
+    for (std::size_t i = 0; i < moments.size(); ++i) {
+      *moments[i] = std::move(moment_values[i]);
+    }
+    optimizer.set_steps_taken(steps);
     *state = std::move(ck);
     return true;
   } catch (const util::CheckError& e) {

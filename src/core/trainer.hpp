@@ -60,7 +60,8 @@ void save_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
 /// Restore a "PDNT" file into an existing model/optimizer. Returns false —
 /// logging the named reason, never throwing — when the file is missing,
 /// truncated, fails its checksum, or doesn't match the model architecture;
-/// the caller then trains from scratch.
+/// the model and optimizer are then untouched, and the caller trains from
+/// scratch.
 bool load_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
                            nn::Adam& optimizer, TrainCheckpoint* state);
 

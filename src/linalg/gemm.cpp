@@ -36,14 +36,4 @@ void gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,
   kernels().gemm_tn(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
-void axpy(int n, float alpha, const float* x, float* y) {
-  for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-double dot(int n, const float* x, const float* y) {
-  double acc = 0.0;
-  for (int i = 0; i < n; ++i) acc += static_cast<double>(x[i]) * y[i];
-  return acc;
-}
-
 }  // namespace pdnn::linalg

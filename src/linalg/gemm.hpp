@@ -26,10 +26,4 @@ void gemm_nn(int m, int n, int k, float alpha, const float* a, int lda,
 void gemm_tn(int m, int n, int k, float alpha, const float* a, int lda,
              const float* b, int ldb, float beta, float* c, int ldc);
 
-/// y = alpha * x + y over n elements.
-void axpy(int n, float alpha, const float* x, float* y);
-
-/// Dot product over n elements (accumulated in double for stability).
-double dot(int n, const float* x, const float* y);
-
 }  // namespace pdnn::linalg

@@ -11,21 +11,30 @@ namespace pdnn::quant {
 
 namespace {
 
-constexpr char kF16Magic[5] = "PDNH";
-constexpr char kInt8Magic[5] = "PDNQ";
+using store::read_field;
+using store::write_field;
+
+/// Weight-block magics, indexed by the dtype's serialized value.
+constexpr char kBlockMagic[3][5] = {"PDNW", "PDNH", "PDNQ"};
 constexpr char kActMagic[5] = "PDNA";
 
 /// Int8 payload encodings (the u8 tag after each parameter's shape).
 constexpr std::uint8_t kEncodingF32 = 0;
 constexpr std::uint8_t kEncodingInt8 = 1;
 
+const char (&block_magic(ParamDtype dtype))[5] {
+  const auto index = static_cast<std::uint32_t>(dtype);
+  PDN_CHECK(index < 3, "unknown weight dtype " + std::to_string(index));
+  return kBlockMagic[index];
+}
+
 void write_name(std::ostream& out, const std::string& name) {
-  store::write_field(out, static_cast<std::uint32_t>(name.size()));
+  write_field(out, static_cast<std::uint32_t>(name.size()));
   out.write(name.data(), static_cast<std::streamsize>(name.size()));
 }
 
 std::string read_name(std::istream& in, const std::string& where) {
-  const auto len = store::read_field<std::uint32_t>(in, where, "name length");
+  const auto len = read_field<std::uint32_t>(in, where, "name length");
   PDN_CHECK(len < 4096, "implausible parameter name length " +
                             std::to_string(len) + " in " + where);
   std::string name(len, '\0');
@@ -34,151 +43,135 @@ std::string read_name(std::istream& in, const std::string& where) {
   return name;
 }
 
-void write_shape(std::ostream& out, const nn::Tensor& t) {
-  store::write_field(out, static_cast<std::uint32_t>(t.ndim()));
-  for (int i = 0; i < t.ndim(); ++i) {
-    store::write_field(out, static_cast<std::int32_t>(t.dim(i)));
-  }
+void write_payload(std::ostream& out, const void* data, std::size_t bytes) {
+  out.write(static_cast<const char*>(data),
+            static_cast<std::streamsize>(bytes));
 }
 
-/// Read and verify one parameter's name and shape against the expected
-/// parameter, exactly as nn::load_parameters does for the fp32 block.
-void check_name_shape(std::istream& in, const nn::Parameter& p,
-                      const std::string& where) {
+void read_payload(std::istream& in, void* data, std::size_t bytes,
+                  const char* kind, const std::string& name,
+                  const std::string& where) {
+  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
+  PDN_CHECK(in.good(), std::string("truncated ") + kind + " data for " +
+                           name + " in " + where);
+}
+
+/// Read one parameter's name and shape, verify both against `p`, and return
+/// a tensor of that shape for the values that follow.
+nn::Tensor read_record(std::istream& in, const nn::Parameter& p,
+                       const std::string& where) {
   const std::string name = read_name(in, where);
   PDN_CHECK(name == p.name, "expected parameter " + p.name + ", found " +
                                 name + " in " + where);
   const nn::Tensor& t = p.var.value();
-  const auto ndim = store::read_field<std::uint32_t>(in, where, "ndim");
+  const auto ndim = read_field<std::uint32_t>(in, where, "ndim");
   PDN_CHECK(static_cast<int>(ndim) == t.ndim(),
             "rank mismatch for " + name + " in " + where);
   for (int i = 0; i < t.ndim(); ++i) {
-    const auto d = store::read_field<std::int32_t>(in, where, "dim");
+    const auto d = read_field<std::int32_t>(in, where, "dim");
     PDN_CHECK(d == t.dim(i), "shape mismatch for " + name + " in " + where);
   }
-}
-
-void check_count(std::istream& in, std::size_t expected,
-                 const std::string& where) {
-  const auto count = store::read_field<std::uint32_t>(in, where, "count");
-  PDN_CHECK(count == expected,
-            "parameter count mismatch in " + where + " (block has " +
-                std::to_string(count) + ", model has " +
-                std::to_string(expected) + ")");
+  return nn::Tensor(t.shape());
 }
 
 }  // namespace
 
-void write_f16_block(const std::vector<nn::Parameter*>& params,
-                     std::ostream& out, const std::string& where) {
-  store::write_magic(out, kF16Magic);
-  store::write_field(out, static_cast<std::uint32_t>(params.size()));
+void write_weights(const std::vector<nn::Parameter*>& params, ParamDtype dtype,
+                   std::ostream& out, const std::string& where,
+                   const CalibrationResult& calibration) {
+  store::write_magic(out, block_magic(dtype));
+  write_field(out, static_cast<std::uint32_t>(params.size()));
   std::vector<std::uint16_t> half;
-  for (nn::Parameter* p : params) {
+  for (const nn::Parameter* p : params) {
     const nn::Tensor& t = p->var.value();
+    const auto n = static_cast<std::size_t>(t.numel());
     write_name(out, p->name);
-    write_shape(out, t);
-    half.resize(static_cast<std::size_t>(t.numel()));
-    for (std::int64_t i = 0; i < t.numel(); ++i) {
-      half[static_cast<std::size_t>(i)] = f32_to_f16(t.data()[i]);
+    write_field(out, static_cast<std::uint32_t>(t.ndim()));
+    for (int i = 0; i < t.ndim(); ++i) {
+      write_field(out, static_cast<std::int32_t>(t.dim(i)));
     }
-    out.write(reinterpret_cast<const char*>(half.data()),
-              static_cast<std::streamsize>(half.size() * sizeof(std::uint16_t)));
-  }
-  PDN_CHECK(out.good(), "write failed for " + where);
-}
-
-void read_f16_block(const std::vector<nn::Parameter*>& params,
-                    std::istream& in, const std::string& where) {
-  store::check_magic(in, kF16Magic, where);
-  check_count(in, params.size(), where);
-  std::vector<std::uint16_t> half;
-  for (nn::Parameter* p : params) {
-    check_name_shape(in, *p, where);
-    nn::Tensor& t = p->var.mutable_value();
-    half.resize(static_cast<std::size_t>(t.numel()));
-    in.read(reinterpret_cast<char*>(half.data()),
-            static_cast<std::streamsize>(half.size() * sizeof(std::uint16_t)));
-    PDN_CHECK(in.good(),
-              "truncated fp16 data for " + p->name + " in " + where);
-    for (std::int64_t i = 0; i < t.numel(); ++i) {
-      t.data()[i] = f16_to_f32(half[static_cast<std::size_t>(i)]);
+    const bool as_int8 = dtype == ParamDtype::kInt8 && t.ndim() >= 2;
+    if (dtype == ParamDtype::kInt8) {
+      write_field(out, as_int8 ? kEncodingInt8 : kEncodingF32);
     }
-  }
-}
-
-void write_int8_block(const std::vector<nn::Parameter*>& params,
-                      const CalibrationResult& calibration, std::ostream& out,
-                      const std::string& where) {
-  store::write_magic(out, kInt8Magic);
-  store::write_field(out, static_cast<std::uint32_t>(params.size()));
-  for (nn::Parameter* p : params) {
-    const nn::Tensor& t = p->var.value();
-    write_name(out, p->name);
-    write_shape(out, t);
-    if (t.ndim() >= 2) {
+    if (dtype == ParamDtype::kF16) {
+      half.resize(n);
+      for (std::size_t i = 0; i < n; ++i) half[i] = f32_to_f16(t.data()[i]);
+      write_payload(out, half.data(), n * sizeof(std::uint16_t));
+    } else if (as_int8) {
       const QuantizedTensor qt = quantize_tensor(t);
-      store::write_field(out, kEncodingInt8);
-      store::write_field(out, qt.scale);
-      out.write(reinterpret_cast<const char*>(qt.q.data()),
-                static_cast<std::streamsize>(qt.q.size()));
+      write_field(out, qt.scale);
+      write_payload(out, qt.q.data(), n);
     } else {
-      store::write_field(out, kEncodingF32);
-      out.write(reinterpret_cast<const char*>(t.data()),
-                static_cast<std::streamsize>(t.numel() * sizeof(float)));
+      write_payload(out, t.data(), n * sizeof(float));
     }
   }
-  store::write_magic(out, kActMagic);
-  store::write_field(
-      out, static_cast<std::uint32_t>(calibration.activation_absmax.size()));
-  for (const auto& [name, absmax_value] : calibration.activation_absmax) {
-    write_name(out, name);
-    store::write_field(out, symmetric_scale(absmax_value));
+  if (dtype == ParamDtype::kInt8) {
+    store::write_magic(out, kActMagic);
+    write_field(out, static_cast<std::uint32_t>(
+                         calibration.activation_absmax.size()));
+    for (const auto& [name, absmax_value] : calibration.activation_absmax) {
+      write_name(out, name);
+      write_field(out, symmetric_scale(absmax_value));
+    }
   }
   PDN_CHECK(out.good(), "write failed for " + where);
 }
 
-void read_int8_block(const std::vector<nn::Parameter*>& params,
-                     std::istream& in, const std::string& where) {
-  store::check_magic(in, kInt8Magic, where);
-  check_count(in, params.size(), where);
+std::vector<nn::Tensor> read_weights(const std::vector<nn::Parameter*>& params,
+                                     ParamDtype dtype, std::istream& in,
+                                     const std::string& where) {
+  store::check_magic(in, block_magic(dtype), where);
+  const auto count = read_field<std::uint32_t>(in, where, "count");
+  PDN_CHECK(count == params.size(),
+            "parameter count mismatch in " + where + " (block has " +
+                std::to_string(count) + ", model has " +
+                std::to_string(params.size()) + ")");
+  std::vector<nn::Tensor> values;
+  values.reserve(params.size());
+  std::vector<std::uint16_t> half;
   std::vector<std::int8_t> q;
-  for (nn::Parameter* p : params) {
-    check_name_shape(in, *p, where);
-    nn::Tensor& t = p->var.mutable_value();
-    const auto encoding = store::read_field<std::uint8_t>(in, where,
-                                                          "encoding");
-    if (encoding == kEncodingInt8) {
-      const float scale = store::read_field<float>(in, where, "weight scale");
-      PDN_CHECK(scale > 0.0f,
-                "non-positive weight scale for " + p->name + " in " + where);
-      q.resize(static_cast<std::size_t>(t.numel()));
-      in.read(reinterpret_cast<char*>(q.data()),
-              static_cast<std::streamsize>(q.size()));
-      PDN_CHECK(in.good(),
-                "truncated int8 data for " + p->name + " in " + where);
-      dequantize(q.data(), t.numel(), scale, t.data());
-    } else {
-      PDN_CHECK(encoding == kEncodingF32,
+  for (const nn::Parameter* p : params) {
+    nn::Tensor t = read_record(in, *p, where);
+    const auto n = static_cast<std::size_t>(t.numel());
+    std::uint8_t encoding = kEncodingF32;
+    if (dtype == ParamDtype::kInt8) {
+      encoding = read_field<std::uint8_t>(in, where, "encoding");
+      PDN_CHECK(encoding == kEncodingF32 || encoding == kEncodingInt8,
                 "unknown parameter encoding " + std::to_string(encoding) +
                     " for " + p->name + " in " + where);
-      in.read(reinterpret_cast<char*>(t.data()),
-              static_cast<std::streamsize>(t.numel() * sizeof(float)));
-      PDN_CHECK(in.good(),
-                "truncated fp32 data for " + p->name + " in " + where);
+    }
+    if (dtype == ParamDtype::kF16) {
+      half.resize(n);
+      read_payload(in, half.data(), n * sizeof(std::uint16_t), "fp16",
+                   p->name, where);
+      for (std::size_t i = 0; i < n; ++i) t.data()[i] = f16_to_f32(half[i]);
+    } else if (encoding == kEncodingInt8) {
+      const float scale = read_field<float>(in, where, "weight scale");
+      PDN_CHECK(scale > 0.0f,
+                "non-positive weight scale for " + p->name + " in " + where);
+      q.resize(n);
+      read_payload(in, q.data(), n, "int8", p->name, where);
+      dequantize(q.data(), t.numel(), scale, t.data());
+    } else {
+      read_payload(in, t.data(), n * sizeof(float), "fp32", p->name, where);
+    }
+    values.push_back(std::move(t));
+  }
+  if (dtype == ParamDtype::kInt8) {
+    // The activation-scale table is validated but not used: the dequantized
+    // weights run the fp32 inference path.
+    store::check_magic(in, kActMagic, where);
+    const auto act_count =
+        read_field<std::uint32_t>(in, where, "activation count");
+    for (std::uint32_t i = 0; i < act_count; ++i) {
+      const std::string name = read_name(in, where);
+      const float scale = read_field<float>(in, where, "act scale");
+      PDN_CHECK(scale > 0.0f,
+                "non-positive activation scale for " + name + " in " + where);
     }
   }
-  // The activation-scale table is validated but not used: the dequantized
-  // weights run the fp32 inference path.
-  store::check_magic(in, kActMagic, where);
-  const auto act_count =
-      store::read_field<std::uint32_t>(in, where, "activation count");
-  for (std::uint32_t i = 0; i < act_count; ++i) {
-    const std::string name = read_name(in, where);
-    const float scale = store::read_field<float>(in, where, "act scale");
-    PDN_CHECK(scale > 0.0f,
-              "non-positive activation scale for " + name + " in " + where);
-  }
+  return values;
 }
 
 }  // namespace pdnn::quant

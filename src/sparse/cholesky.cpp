@@ -103,7 +103,10 @@ void BandCholesky::solve(const std::vector<double>& b,
   PDN_CHECK(static_cast<int>(b.size()) == n_,
             "BandCholesky::solve: size mismatch");
   // Single-RHS solve is the B=1 case of the blocked kernel, so serial and
-  // batched transient results share one code path and stay bit-identical.
+  // batched transient results share their bits, but not their speed: here
+  // solve_multi inlines with the width fixed at 1, while a call with a
+  // runtime width of 1 gets no such specialization, and simulate_batch of
+  // one trace ran 3-4x slower than simulate() on D1-D4 small.
   x.assign(static_cast<std::size_t>(n_), 0.0);
   solve_multi(b.data(), x.data(), 1);
 }

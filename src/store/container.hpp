@@ -5,7 +5,9 @@
 // a u32 version, then typed fields. These helpers centralize the two rules
 // the formats share — every read is checked, and a failure names the file
 // and the exact field — so a truncated or tampered container always produces
-// a diagnosable util::CheckError instead of garbage data.
+// a diagnosable util::CheckError instead of garbage data. The weight blocks
+// inside PDNB and PDNT (a magic and a count, no version) are coded by one
+// codec on top of these helpers, quant/serialize.
 #pragma once
 
 #include <cstdint>

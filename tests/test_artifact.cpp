@@ -1,7 +1,8 @@
 // PDNB artifact container tests: round-trip bit-identity of predictions,
-// header peeking, and the error paths (truncation, bad magic, tampered
-// dimensions, channel counts the file cannot hold) — each failure must name
-// the file and the offending field or parameter.
+// header peeking, the pinned bytes of every container writer, and the error
+// paths (truncation, bad magic, tampered dimensions, channel counts the file
+// cannot hold) — each failure must name the file and the offending field or
+// parameter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,8 +14,13 @@
 
 #include "core/artifact.hpp"
 #include "core/model.hpp"
+#include "core/trainer.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/tensor.hpp"
+#include "quant/calibrate.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
+#include "util/io.hpp"
 #include "util/rng.hpp"
 
 namespace pdnn {
@@ -204,6 +210,83 @@ TEST(Artifact, ChannelCountBeyondFileNamesField) {
     EXPECT_NE(what.find("'c3'"), std::string::npos) << what;
     EXPECT_NE(what.find(file.path), std::string::npos) << what;
   }
+}
+
+/// Sets every value to an integer k in [-127, 127] times 0.125, with k = 127
+/// first, so each tensor's absmax is 15.875: int8 stores q = k under scale
+/// 0.125 and fp16 stores k * 0.125 exactly. Nothing here calls libm, so the
+/// bytes written from these values cannot depend on the platform's math
+/// library or on the build type.
+void fill_exact(nn::Tensor& t, int salt) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const int k =
+        i == 0 ? 127 : static_cast<int>((i * 37 + salt * 11) % 255) - 127;
+    t.data()[i] = static_cast<float>(k) * 0.125f;
+  }
+}
+
+std::uint64_t file_digest(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(util::read_file(path, &bytes)) << path;
+  return util::fnv1a64(bytes.data(), bytes.size());
+}
+
+// Pins the bytes of every container the repository writes: a v1 fp32 PDNB,
+// a v2 fp16 and a v2 int8 PDNB (with a non-empty PDNA table) and a PDNT
+// training checkpoint. A change to any writer that moves one byte fails
+// here, whatever the reader makes of it.
+TEST(Artifact, ContainerBytesArePinned) {
+  ModelConfig cfg;
+  cfg.distance_channels = 3;
+  cfg.tile_rows = 4;
+  cfg.tile_cols = 4;
+  cfg.c1 = 2;
+  cfg.c2 = 2;
+  cfg.c3 = 2;
+  cfg.current_scale = 2.5f;
+  cfg.noise_scale = 0.125f;
+  cfg.init_seed = 77;
+  WorstCaseNoiseNet model(cfg);
+  const std::vector<nn::Parameter*> params = model.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    fill_exact(params[i]->var.mutable_value(), static_cast<int>(i));
+  }
+  core::TemporalCompressionOptions temporal;
+  temporal.rate = 0.25;
+  temporal.rate_step = 0.0625;
+
+  TempFile f32("pinned_f32.pdnb");
+  core::save_artifact(model, temporal, f32.path);
+  EXPECT_EQ(file_digest(f32.path), 0x5ff349bcc1ddae74ull) << "v1 fp32 PDNB";
+
+  TempFile f16("pinned_f16.pdnb");
+  core::save_artifact_f16(model, temporal, f16.path);
+  EXPECT_EQ(file_digest(f16.path), 0x5f4e8074243220e7ull) << "v2 fp16 PDNB";
+
+  // Absmax 31.75 and 63.5 give the exact activation scales 0.25 and 0.5.
+  quant::CalibrationResult calibration;
+  calibration.activation_absmax["distance_net.in_conv.weight"] = 31.75f;
+  calibration.activation_absmax["fusion_net.enc1.weight"] = 63.5f;
+  TempFile int8("pinned_int8.pdnb");
+  core::save_artifact_int8(model, temporal, calibration, int8.path);
+  EXPECT_EQ(file_digest(int8.path), 0x4b1706863b08e83aull) << "v2 int8 PDNB";
+
+  nn::Adam optimizer(params);
+  optimizer.set_steps_taken(5);
+  const std::vector<nn::Tensor*> moments = optimizer.state_tensors();
+  for (std::size_t i = 0; i < moments.size(); ++i) {
+    fill_exact(*moments[i], static_cast<int>(i) + 100);
+  }
+  core::TrainCheckpoint state;
+  state.next_epoch = 2;
+  state.lr = 0.25f;
+  state.rng = {0x9e3779b97f4a7c15ull, true, -0.5};
+  state.order = {2, 0, 1};
+  state.train_loss = {1.5, 0.75};
+  state.val_loss = {2.25, 1.125};
+  TempFile ckpt("pinned.pdnt");
+  core::save_train_checkpoint(ckpt.path, model, optimizer, state);
+  EXPECT_EQ(file_digest(ckpt.path), 0x3b6a0992384c0306ull) << "PDNT checkpoint";
 }
 
 TEST(Artifact, DefaultTemporalOptionsRoundTrip) {

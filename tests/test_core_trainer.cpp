@@ -1,20 +1,25 @@
 // Trainer tests: loss decreases, overfitting a single sample works, the
-// evaluation helper is consistent, and interrupted training resumes to
-// bit-identical weights from a "PDNT" checkpoint.
+// evaluation helper is consistent, interrupted training resumes to
+// bit-identical weights from a "PDNT" checkpoint, and a rejected checkpoint
+// leaves the model and optimizer untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/dataset.hpp"
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
+#include "util/hash.hpp"
+#include "util/io.hpp"
 
 namespace pdnn {
 namespace {
@@ -219,6 +224,86 @@ TEST(Trainer, CorruptCheckpointFallsBackToFreshStart) {
   core::WorstCaseNoiseNet fresh(f.config());
   core::train_model(fresh, f.data, plain);
   expect_weights_bit_equal(recovered, fresh);
+}
+
+// A checkpoint with a valid checksum that fails a later field must leave the
+// model and the optimizer exactly as they were, so training starts fresh.
+// Models built from one config start bit-identical, so each rejected load is
+// compared against a twin that never saw the file.
+TEST(Trainer, RejectedCheckpointLeavesModelUntouched) {
+  Fixture f(4);
+  core::ModelConfig wide = f.config();
+  wide.c3 = 16;
+  wide.init_seed = 5;
+  core::WorstCaseNoiseNet saved(wide);
+  nn::Adam saved_optimizer(saved.parameters());
+  saved_optimizer.set_steps_taken(3);
+  for (nn::Tensor* t : saved_optimizer.state_tensors()) t->fill(0.5f);
+  core::TrainCheckpoint written;
+  written.next_epoch = 1;
+  written.order = {0};
+  const std::string path = fresh_checkpoint("rejected");
+  core::save_train_checkpoint(path, saved, saved_optimizer, written);
+
+  // The distance and fusion subnets match and come first in the file; the
+  // prediction subnet (c3 = 8 against 16) does not.
+  core::ModelConfig narrow = f.config();
+  narrow.c3 = 8;
+  core::WorstCaseNoiseNet model(narrow);
+  core::WorstCaseNoiseNet pristine(narrow);
+  nn::Adam optimizer(model.parameters());
+  core::TrainCheckpoint ck;
+  EXPECT_FALSE(core::load_train_checkpoint(path, model, optimizer, &ck));
+  expect_weights_bit_equal(model, pristine);
+  EXPECT_EQ(optimizer.steps_taken(), 0);
+  EXPECT_TRUE(ck.order.empty());
+
+  // Every weight matches, but the optimizer covers one parameter fewer, so
+  // the moment count fails after the whole weight block has verified.
+  core::ModelConfig other_seed = wide;
+  other_seed.init_seed = 6;
+  core::WorstCaseNoiseNet twin(other_seed);
+  core::WorstCaseNoiseNet twin_pristine(other_seed);
+  std::vector<nn::Parameter*> all_but_last = twin.parameters();
+  all_but_last.pop_back();
+  nn::Adam partial(all_but_last);
+  EXPECT_FALSE(core::load_train_checkpoint(path, twin, partial, &ck));
+  expect_weights_bit_equal(twin, twin_pristine);
+  EXPECT_EQ(partial.steps_taken(), 0);
+  for (const nn::Tensor* t : partial.state_tensors()) {
+    for (std::int64_t i = 0; i < t->numel(); ++i) {
+      ASSERT_EQ(t->data()[i], 0.0f);
+    }
+  }
+}
+
+// A count that the checksum covers but the file cannot hold must end in a
+// rejection, not in an allocation of the declared size.
+TEST(Trainer, CheckpointCountBeyondFileIsRejected) {
+  core::ModelConfig config;
+  config.distance_channels = 2;
+  config.tile_rows = 4;
+  config.tile_cols = 4;
+  core::WorstCaseNoiseNet model(config);
+  nn::Adam optimizer(model.parameters());
+  core::TrainCheckpoint written;
+  written.order = {1, 0};
+  const std::string path = fresh_checkpoint("huge_count");
+  core::save_train_checkpoint(path, model, optimizer, written);
+
+  // order_count follows magic, version and checksum (16 bytes) and
+  // next_epoch, lr, the RNG state, its cached flag and cached normal (25).
+  std::string bytes;
+  ASSERT_TRUE(util::read_file(path, &bytes));
+  const std::uint32_t huge = 0xffffffffu;
+  std::memcpy(&bytes[41], &huge, sizeof(huge));
+  const std::uint64_t checksum =
+      util::fnv1a64(bytes.data() + 16, bytes.size() - 16);
+  std::memcpy(&bytes[8], &checksum, sizeof(checksum));
+  util::write_file_atomic(path, bytes);
+
+  core::TrainCheckpoint ck;
+  EXPECT_FALSE(core::load_train_checkpoint(path, model, optimizer, &ck));
 }
 
 TEST(Trainer, LoadCheckpointRejectsMissingFile) {

@@ -148,14 +148,5 @@ TEST(Gemm, ZeroOperandPropagatesNanAndInfTn) {
   EXPECT_FLOAT_EQ(c[5], 5.0f);
 }
 
-TEST(Gemm, AxpyAndDot) {
-  std::vector<float> x{1, 2, 3};
-  std::vector<float> y{4, 5, 6};
-  linalg::axpy(3, 2.0f, x.data(), y.data());
-  EXPECT_FLOAT_EQ(y[0], 6.0f);
-  EXPECT_FLOAT_EQ(y[2], 12.0f);
-  EXPECT_DOUBLE_EQ(linalg::dot(3, x.data(), x.data()), 14.0);
-}
-
 }  // namespace
 }  // namespace pdnn

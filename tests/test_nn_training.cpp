@@ -1,14 +1,12 @@
-// Training-infrastructure tests: layers, Adam convergence, serialization.
+// Training-infrastructure tests: layers and Adam convergence.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "nn/module.hpp"
 #include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/serialize.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -205,41 +203,6 @@ TEST(Adam, SkipsParametersWithoutGradients) {
   loss.backward();
   opt.step();
   EXPECT_FLOAT_EQ(unused.parameters()[0]->var.value().data()[0], before);
-}
-
-TEST(Serialize, RoundTripPreservesWeights) {
-  util::Rng rng(7);
-  nn::Conv2d a(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
-  nn::Conv2d b(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
-  const std::string path = testing::TempDir() + "/weights.bin";
-  nn::save_parameters(a.parameters(), path);
-  nn::load_parameters(b.parameters(), path);
-  for (std::size_t i = 0; i < 2; ++i) {
-    const Tensor& ta = a.parameters()[i]->var.value();
-    const Tensor& tb = b.parameters()[i]->var.value();
-    for (std::int64_t j = 0; j < ta.numel(); ++j) {
-      ASSERT_FLOAT_EQ(ta.data()[j], tb.data()[j]);
-    }
-  }
-}
-
-TEST(Serialize, RejectsShapeMismatch) {
-  util::Rng rng(8);
-  nn::Conv2d a(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
-  nn::Conv2d wrong(2, 4, 3, 1, 1, nn::PadMode::kZero, rng);
-  const std::string path = testing::TempDir() + "/weights2.bin";
-  nn::save_parameters(a.parameters(), path);
-  EXPECT_THROW(nn::load_parameters(wrong.parameters(), path), util::CheckError);
-}
-
-TEST(Serialize, RejectsGarbageFile) {
-  const std::string path = testing::TempDir() + "/garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not a weight file", f);
-  std::fclose(f);
-  util::Rng rng(9);
-  nn::Conv2d a(1, 1, 1, 1, 0, nn::PadMode::kZero, rng);
-  EXPECT_THROW(nn::load_parameters(a.parameters(), path), util::CheckError);
 }
 
 TEST(ConvTranspose2dLayer, ForwardShape) {

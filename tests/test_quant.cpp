@@ -1,9 +1,9 @@
-// Post-training quantization tests (suite names start with "Quant" so the
-// TSan CI leg's regex picks them up): IEEE-half conversion semantics,
-// symmetric int8 primitives, activation calibration, PDNB v2 artifact
-// round-trips (int8 + fp16, both storage formats that load into the fp32
-// inference path), and int8 inference determinism across thread counts and
-// kernel backends.
+// Post-training quantization tests: IEEE-half conversion semantics,
+// symmetric int8 primitives, activation calibration, the weight-block codec
+// (Serialize), PDNB v2 artifact round-trips (int8 + fp16, both storage
+// formats that load into the fp32 inference path), and int8 inference
+// determinism across thread counts and kernel backends. The TSan CI leg's
+// regex picks up the suites whose names start with "Quant".
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "quant/dtype.hpp"
 #include "quant/half.hpp"
 #include "quant/quantize.hpp"
+#include "quant/serialize.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -222,6 +224,46 @@ TEST(QuantCalibrate, ObserverDisarmedAfterScope) {
 
 // ---------------------------------------------------------------------------
 // PDNB v2 artifacts
+// ---------------------------------------------------------------------------
+// The one weight codec, on a stream: each parameter's name and shape must
+// match, and the reader returns values without touching the module.
+
+TEST(Serialize, RoundTripPreservesWeights) {
+  util::Rng rng(7);
+  nn::Conv2d a(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
+  nn::Conv2d b(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
+  const Tensor b_weight = b.parameters()[0]->var.value().clone();
+  std::stringstream block;
+  quant::write_weights(a.parameters(), quant::ParamDtype::kF32, block, "a");
+  const std::vector<Tensor> loaded = quant::read_weights(
+      b.parameters(), quant::ParamDtype::kF32, block, "a");
+  ASSERT_EQ(loaded.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(bytes_equal(a.parameters()[i]->var.value(), loaded[i]));
+  }
+  EXPECT_TRUE(bytes_equal(b.parameters()[0]->var.value(), b_weight));
+}
+
+TEST(Serialize, RejectsShapeMismatch) {
+  util::Rng rng(8);
+  nn::Conv2d a(2, 3, 3, 1, 1, nn::PadMode::kZero, rng);
+  nn::Conv2d wrong(2, 4, 3, 1, 1, nn::PadMode::kZero, rng);
+  std::stringstream block;
+  quant::write_weights(a.parameters(), quant::ParamDtype::kF32, block, "a");
+  EXPECT_THROW(quant::read_weights(wrong.parameters(),
+                                   quant::ParamDtype::kF32, block, "a"),
+               util::CheckError);
+}
+
+TEST(Serialize, RejectsGarbageFile) {
+  util::Rng rng(9);
+  nn::Conv2d a(1, 1, 1, 1, 0, nn::PadMode::kZero, rng);
+  std::istringstream garbage("not a weight file");
+  EXPECT_THROW(quant::read_weights(a.parameters(), quant::ParamDtype::kF32,
+                                   garbage, "garbage"),
+               util::CheckError);
+}
+
 // ---------------------------------------------------------------------------
 
 struct QuantizedFixture {

@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 
 #include "pdn/power_grid.hpp"
 #include "util/check.hpp"
 #include "vectors/generator.hpp"
-#include "vectors/trace_io.hpp"
 
 namespace pdnn {
 namespace {
@@ -135,45 +133,6 @@ TEST(Generator, HasTemporalStructure) {
     if (mx > 1.15 * mn) ++structured;
   }
   EXPECT_GE(structured, 4);
-}
-
-TEST(TraceIo, BinaryRoundTripIsExact) {
-  const pdn::PowerGrid grid(tiny_spec());
-  vectors::VectorGenParams params;
-  params.num_steps = 25;
-  vectors::TestVectorGenerator gen(grid, params, 77);
-  const auto trace = gen.generate();
-  const std::string path = testing::TempDir() + "/trace.bin";
-  vectors::save_trace(trace, path);
-  const auto loaded = vectors::load_trace(path);
-  ASSERT_EQ(loaded.num_steps(), trace.num_steps());
-  ASSERT_EQ(loaded.num_loads(), trace.num_loads());
-  EXPECT_DOUBLE_EQ(loaded.dt(), trace.dt());
-  for (int k = 0; k < trace.num_steps(); ++k) {
-    for (int j = 0; j < trace.num_loads(); ++j) {
-      ASSERT_FLOAT_EQ(loaded.at(k, j), trace.at(k, j));
-    }
-  }
-}
-
-TEST(TraceIo, RejectsGarbageFile) {
-  const std::string path = testing::TempDir() + "/nottrace.bin";
-  std::ofstream(path) << "garbage";
-  EXPECT_THROW(vectors::load_trace(path), util::CheckError);
-  EXPECT_THROW(vectors::load_trace(testing::TempDir() + "/missing.bin"),
-               util::CheckError);
-}
-
-TEST(TraceIo, CsvHasOneRowPerStep) {
-  vectors::CurrentTrace trace(3, 2, 1e-12);
-  trace.at(1, 1) = 2.5f;
-  const std::string path = testing::TempDir() + "/trace.csv";
-  vectors::export_trace_csv(trace, path);
-  std::ifstream in(path);
-  std::string line;
-  int rows = 0;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 3);
 }
 
 TEST(Generator, BurstsAreSpatiallyClustered) {
