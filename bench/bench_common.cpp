@@ -62,9 +62,6 @@ void add_runtime_flags(util::ArgParser& args) {
   args.add_flag("threads", "0",
                 "worker threads for the shared pool "
                 "(0: PDNN_THREADS or hardware concurrency)");
-  args.add_flag("sim-batch", "0",
-                "traces per lockstep multi-RHS transient batch "
-                "(0: PDNN_SIM_BATCH or 8; any width is bit-identical)");
   args.add_flag("kernel", "",
                 "compute-kernel backend: scalar|avx2 (empty: PDNN_KERNEL, or "
                 "the CPUID probe; forcing an unsupported backend errors)");
@@ -84,7 +81,6 @@ RuntimeConfig apply_runtime_flags(const util::ArgParser& args) {
   RuntimeConfig rc;
   rc.threads = args.get_int("threads");
   if (rc.threads > 0) util::ThreadPool::set_global_threads(rc.threads);
-  rc.sim_batch = sim::resolve_sim_batch(args.get_int("sim-batch"));
   const std::string kernel = args.get("kernel");
   if (!kernel.empty()) {
     linalg::force_backend(linalg::parse_backend(kernel));
@@ -179,7 +175,6 @@ ExperimentOptions options_from_args(const util::ArgParser& args) {
   o.verbose = args.get_bool("verbose");
   const RuntimeConfig rc = apply_runtime_flags(args);
   o.threads = rc.threads;
-  o.sim_batch = args.get_int("sim-batch");
   const StoreFlags sf = store_flags_from_args(args);
   o.store_dir = sf.dir;
   o.checkpoint_every = sf.checkpoint_every;
@@ -220,8 +215,7 @@ DesignExperiment run_design_experiment(const pdn::DesignSpec& base_spec,
   vectors::TestVectorGenerator gen(*ex.grid, gen_params, ex.spec.seed);
   ex.raw =
       core::simulate_dataset(*ex.grid, *ex.simulator, gen,
-                             options.num_vectors, {}, options.sim_batch,
-                             run_store.get());
+                             options.num_vectors, {}, 0, run_store.get());
   if (options.ablate_distance) ex.raw.distance.zero();
 
   core::TemporalCompressionOptions temporal;

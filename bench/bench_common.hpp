@@ -48,7 +48,6 @@ struct ExperimentOptions {
   bool ablate_distance = false;  ///< zero the bump-distance feature
   bool verbose = false;
   int threads = 0;   ///< pool size; 0 = PDNN_THREADS / hardware concurrency
-  int sim_batch = 0; ///< transient batch width; 0 = PDNN_SIM_BATCH / 8
   std::string store_dir;     ///< persistent run store; empty = disabled
   int checkpoint_every = 0;  ///< write a training checkpoint every N epochs
   bool resume = false;       ///< restore the store's checkpoint before training
@@ -67,21 +66,20 @@ void add_common_flags(util::ArgParser& args);
 /// include these.
 void add_metrics_flags(util::ArgParser& args);
 
-/// The execution flags every driver shares — --threads, --sim-batch, and the
-/// observability flags — registered once here so the seven harnesses don't
-/// each hand-roll the set (and so `--help` documents them identically
-/// everywhere).
+/// The execution flags every driver shares — --threads, --kernel, the store
+/// flags and the observability flags — registered once here so the
+/// harnesses don't each hand-roll the set (and so `--help` documents them
+/// identically everywhere).
 void add_runtime_flags(util::ArgParser& args);
 
 /// Resolved values of the add_runtime_flags set.
 struct RuntimeConfig {
-  int threads = 0;    ///< pool size actually applied
-  int sim_batch = 0;  ///< resolved lockstep transient batch width
+  int threads = 0;  ///< pool size actually applied
   linalg::KernelBackend backend = linalg::KernelBackend::kScalar;
 };
 
-/// Apply the parsed runtime flags: size the global thread pool and resolve
-/// the transient batch width. Call once, right after parse().
+/// Apply the parsed runtime flags: size the global thread pool and select
+/// the kernel backend. Call once, right after parse().
 RuntimeConfig apply_runtime_flags(const util::ArgParser& args);
 
 /// Resolved values of the persistent-store flags registered by

@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
     sim::TransientSimulator simulator(grid, {});
     vectors::TestVectorGenerator gen(grid, gen_params, spec.seed);
     core::RawDataset raw = core::simulate_dataset(
-        grid, simulator, gen, options.num_vectors, {}, options.sim_batch,
-        run_store.get());
+        grid, simulator, gen, options.num_vectors, {}, 0, run_store.get());
     metrics.lap("simulate");
 
     for (double rate : rates) {

@@ -13,9 +13,9 @@
 // the canary path and verifies the post-promote maps match the int8 serial
 // bits.
 //
-// Saturation and tail latency are the repository benchmark's job (perfbench
-// `fleet`): a closed-loop row here serves 16 requests, too few for a tail.
-#include <algorithm>
+// The driver reports bits and counts, not timings: a closed-loop row serves
+// a handful of requests, too few for a stable rate or any tail. Saturation
+// and latency are the repository benchmark's job (perfbench `fleet`).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -37,30 +37,6 @@ using SteadyClock = std::chrono::steady_clock;
 bool maps_equal(const pdnn::util::MapF& a, const pdnn::util::MapF& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
-/// Client-observed wall latency of one closed-loop row, in ms: the exact
-/// median (rank ceil(n/2) of the sorted samples) and the max. A row holds
-/// too few requests for any higher percentile to differ from the max.
-struct LatencySummary {
-  double p50 = 0.0;
-  double max = 0.0;
-};
-
-LatencySummary summarize_latency_ms(std::vector<std::int64_t> nanos) {
-  LatencySummary s;
-  if (nanos.empty()) return s;
-  std::sort(nanos.begin(), nanos.end());
-  s.p50 = static_cast<double>(nanos[(nanos.size() - 1) / 2]) * 1e-6;
-  s.max = static_cast<double>(nanos.back()) * 1e-6;
-  return s;
-}
-
-pdnn::obs::JsonValue latency_json(const LatencySummary& s) {
-  pdnn::obs::JsonValue j = pdnn::obs::JsonValue::object();
-  j.set("p50", s.p50);
-  j.set("max", s.max);
-  return j;
 }
 
 }  // namespace
@@ -159,7 +135,7 @@ int main(int argc, char** argv) {
   }
   metrics.lap("artifact");
 
-  // 2) One fixed request set, shared by every run so rates are comparable.
+  // 2) One fixed request set, shared by every run.
   const int total_requests =
       serve_flags.clients * serve_flags.requests_per_client;
   vectors::TestVectorGenerator gen(*ex.grid, bench::gen_params_for(options),
@@ -173,17 +149,12 @@ int main(int argc, char** argv) {
   const core::WorstCasePipeline pipeline(
       *ex.grid, *artifact.model, core::PipelineOptions{artifact.temporal});
   std::vector<util::MapF> expected(static_cast<std::size_t>(total_requests));
-  pipeline.predict(traces.front());  // warm-up (thread pool, scratch)
-  obs::StageTimer serial_timer;
   for (int i = 0; i < total_requests; ++i) {
     expected[static_cast<std::size_t>(i)] =
         pipeline.predict(traces[static_cast<std::size_t>(i)]);
   }
-  const double serial_seconds = serial_timer.lap("bench.serve_serial");
-  const double serial_rps = total_requests / serial_seconds;
 
   metrics.lap("serial_baseline");
-  metrics.set("serial_requests_per_second", serial_rps);
   metrics.set("hardware_threads",
               static_cast<std::int64_t>(std::thread::hardware_concurrency()));
 
@@ -193,10 +164,8 @@ int main(int argc, char** argv) {
       ex.spec.name.c_str(), total_requests, serve_flags.options.num_shards,
       serve_flags.designs, serve_flags.options.max_batch,
       serve_flags.swap ? 1 : 0, std::thread::hardware_concurrency());
-  std::printf("%-16s %10s %10s %7s %7s %7s %7s  %s\n", "mode", "seconds",
-              "req/s", "batches", "width", "p50ms", "maxms", "bits");
-  std::printf("%-16s %10.4f %10.2f %7s %7s %7s %7s  %s\n", "serial",
-              serial_seconds, serial_rps, "-", "-", "-", "-", "reference");
+  std::printf("%-16s %7s %7s  %s\n", "mode", "batches", "width", "bits");
+  std::printf("%-16s %7s %7s  %s\n", "serial", "-", "-", "reference");
 
   // 4) Closed-loop verification: shard counts {1, S} × client counts, mixed
   //    designs, optional mid-run hot-swap. Every map must match the serial
@@ -223,27 +192,24 @@ int main(int argc, char** argv) {
 
       std::vector<serve::Response> responses(
           static_cast<std::size_t>(total_requests));
-      std::vector<std::int64_t> latency_ns(
-          static_cast<std::size_t>(total_requests), 0);
-      obs::StageTimer timer;
       std::vector<std::thread> workers;
       workers.reserve(static_cast<std::size_t>(clients));
       for (int c = 0; c < clients; ++c) {
         workers.emplace_back([&, c] {
           // Client c owns the requests congruent to c mod `clients`,
-          // spread round-robin over the registered designs. Wall latency
-          // is measured on the client's side of the queue.
+          // spread round-robin over the registered designs. Each request's
+          // client-side wall time feeds the bench.request_nanos histogram
+          // of the telemetry sinks.
           for (int i = c; i < total_requests; i += clients) {
             const auto idx = static_cast<std::size_t>(i);
             const SteadyClock::time_point begin = SteadyClock::now();
             responses[idx] =
                 server.predict(ids[idx % ids.size()], traces[idx]);
-            const std::int64_t ns =
+            obs::hist_record(
+                obs::Hist::kBenchRequestNanos,
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     SteadyClock::now() - begin)
-                    .count();
-            latency_ns[idx] = ns;
-            obs::hist_record(obs::Hist::kBenchRequestNanos, ns);
+                    .count());
           }
         });
       }
@@ -256,12 +222,11 @@ int main(int argc, char** argv) {
         }
       }
       for (std::thread& w : workers) w.join();
-      const double seconds = timer.lap("bench.serve_run");
       bool drive_match = true;
       if (serve_flags.swap) {
         // A fast run can drain before the canary saw enough traffic; drive
-        // any unresolved swap to its verdict with extra (untimed, still
-        // verified) requests so the promote path always executes.
+        // any unresolved swap to its verdict with extra (still verified)
+        // requests so the promote path always executes.
         for (std::size_t d = 0; d < ids.size(); ++d) {
           for (int extra = 0; extra < 4 * serve_flags.options.canary_requests &&
                               server.swap_report(ids[d]).state ==
@@ -281,7 +246,6 @@ int main(int argc, char** argv) {
         swaps.push_back(server.swap_report(id));
       }
       server.shutdown();
-      const LatencySummary latency = summarize_latency_ms(latency_ns);
 
       bool match = drive_match;
       for (int i = 0; i < total_requests; ++i) {
@@ -302,25 +266,20 @@ int main(int argc, char** argv) {
       all_match = all_match && match;
 
       const serve::NoiseServer::Stats stats = server.stats();
-      const double rps = total_requests / seconds;
       const std::string mode = "serve:" + std::to_string(shards) + "x" +
                                std::to_string(clients);
-      std::printf("%-16s %10.4f %10.2f %7lld %7lld %7.2f %7.2f  %s\n",
-                  mode.c_str(), seconds, rps,
+      std::printf("%-16s %7lld %7lld  %s\n", mode.c_str(),
                   static_cast<long long>(stats.batches),
-                  static_cast<long long>(stats.batch_width_max), latency.p50,
-                  latency.max, match ? "identical" : "MISMATCH");
+                  static_cast<long long>(stats.batch_width_max),
+                  match ? "identical" : "MISMATCH");
 
       obs::JsonValue run = obs::JsonValue::object();
       run.set("mode", "closed_loop");
       run.set("shards", shards);
       run.set("clients", clients);
-      run.set("seconds", seconds);
-      run.set("requests_per_second", rps);
       run.set("batches", stats.batches);
       run.set("batch_width_max", stats.batch_width_max);
       run.set("queue_depth_max", stats.queue_depth_max);
-      run.set("latency_ms", latency_json(latency));
       if (serve_flags.swap) {
         obs::JsonValue sj = obs::JsonValue::array();
         for (const serve::SwapReport& swap : swaps) {
@@ -360,7 +319,7 @@ int main(int argc, char** argv) {
     }
     const serve::SwapReport report = server.swap_report(id);
     if (report.state != serve::SwapState::kPromoted) swap_ok = false;
-    // Untimed reference bits from the serial int8 pipeline.
+    // Reference bits from the serial int8 pipeline.
     const core::ModelArtifact int8_artifact = core::load_artifact(int8_path);
     const core::WorstCasePipeline int8_pipeline(
         *ex.grid, *int8_artifact.model,

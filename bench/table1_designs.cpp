@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   const auto scale = pdn::scale_from_string(args.get("scale"));
   const int num_vectors = args.get_int("vectors");
-  const int sim_batch = bench::apply_runtime_flags(args).sim_batch;
+  bench::apply_runtime_flags(args);
   const bench::StoreFlags store_flags = bench::store_flags_from_args(args);
   const std::unique_ptr<store::Store> run_store =
       bench::open_store(store_flags.dir);
@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   bench::RunMetrics metrics("table1_designs", args);
   metrics.set("scale", pdn::to_string(scale));
   metrics.set("vectors", num_vectors);
-  metrics.set("sim_batch", sim_batch);
   if (run_store) metrics.set("store_dir", run_store->directory());
 
   vectors::VectorGenParams gen_params;
@@ -51,10 +50,10 @@ int main(int argc, char** argv) {
     // Mean/max worst-case noise and hotspot ratio across sample vectors,
     // evaluated per tile like the paper (threshold: 10% of Vdd = 1 V). The
     // dataset engine draws traces serially and replays them through the
-    // batched solver — bit-identical at any --sim-batch width — and, with
+    // batched solver — bit-identical at any batch width — and, with
     // --store-dir, serves warm vectors straight from the persistent store.
     const core::RawDataset ds = core::simulate_dataset(
-        grid, simulator, gen, num_vectors, {}, sim_batch, run_store.get());
+        grid, simulator, gen, num_vectors, {}, 0, run_store.get());
 
     double mean_wn = 0.0;
     double max_wn = 0.0;

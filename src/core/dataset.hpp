@@ -48,18 +48,17 @@ struct RawDataset {
 /// traces run through sim::TransientSimulator::simulate_batch, with the
 /// blocks fanned out across the global util::ThreadPool; the resulting
 /// dataset is bit-identical for any thread count *and* any batch width (both
-/// are scheduling choices — see DESIGN.md §8). `sim_batch` <= 0 resolves via
-/// sim::resolve_sim_batch (PDNN_SIM_BATCH, default 8). `progress` (optional)
-/// is called as vectors complete with (done, total), serialized under a
-/// mutex.
+/// are scheduling choices — see DESIGN.md §8). `sim_batch` <= 0 means 8.
+/// `progress` (optional) is called as vectors complete with (done, total),
+/// serialized under a mutex.
 ///
 /// When `store` is non-null each vector is first looked up by its
 /// dataset_cache_key(); verified hits replay the persisted sample —
 /// including the originally measured sim_seconds, so warm totals stay
 /// meaningful — and only misses are simulated (then written back). Because
 /// the key deliberately excludes every scheduling knob, a warm run is
-/// byte-identical to the cold run that populated the store at any
-/// --threads/--sim-batch combination (DESIGN.md §11).
+/// byte-identical to the cold run that populated the store at any thread
+/// count and batch width (DESIGN.md §11).
 RawDataset simulate_dataset(
     const pdn::PowerGrid& grid, const sim::TransientSimulator& simulator,
     vectors::TestVectorGenerator& generator, int num_vectors,
@@ -70,7 +69,7 @@ RawDataset simulate_dataset(
 /// of the calibrated design spec, the simulator configuration, the
 /// test-vector stream identity (generator params + seed), and the vector's
 /// index in that stream — every input that determines the sample's bytes,
-/// and nothing that doesn't. Scheduling knobs (--threads, --sim-batch) are
+/// and nothing that doesn't. Scheduling knobs (thread count, batch width) are
 /// deliberately excluded: they never change results (DESIGN.md §7/§8), so a
 /// chunk written at one parallelism must hit at any other.
 std::uint64_t dataset_cache_key(const pdn::DesignSpec& spec,

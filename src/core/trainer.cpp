@@ -1,6 +1,6 @@
 #include "core/trainer.hpp"
 
-#include <numeric>
+#include <algorithm>
 #include <sstream>
 
 #include "nn/conv.hpp"
@@ -61,8 +61,10 @@ void save_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
   util::write_file_atomic(path, std::move(file).str());
 }
 
-bool load_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
-                           nn::Adam& optimizer, TrainCheckpoint* state) {
+bool load_train_checkpoint(const std::string& path,
+                           const std::vector<int>& train_split,
+                           WorstCaseNoiseNet& model, nn::Adam& optimizer,
+                           TrainCheckpoint* state) {
   PDN_CHECK(state != nullptr, "load_train_checkpoint: null output");
   std::string contents;
   if (!util::read_file(path, &contents)) return false;  // no checkpoint yet
@@ -92,6 +94,17 @@ bool load_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
     for (std::uint32_t i = 0; i < order_n; ++i) {
       ck.order.push_back(store::read_field<std::int32_t>(in, path, "order"));
     }
+    // The order indexes the dataset, so it must hold exactly the current
+    // training split's samples. A checkpoint written for another split, say
+    // by a run over another number of vectors, is rejected here.
+    std::vector<int> restored = ck.order;
+    std::vector<int> expected = train_split;
+    std::sort(restored.begin(), restored.end());
+    std::sort(expected.begin(), expected.end());
+    PDN_CHECK(restored == expected,
+              "training order in " + path +
+                  " is not a permutation of the current training split "
+                  "(field 'order')");
     const auto loss_n =
         store::read_field<std::uint32_t>(in, path, "loss_count");
     for (std::uint32_t i = 0; i < loss_n; ++i) {
@@ -177,13 +190,11 @@ TrainReport train_model(WorstCaseNoiseNet& model, const CompiledDataset& data,
     PDN_CHECK(!options.checkpoint_path.empty(),
               "train_model: --resume needs a checkpoint path");
     TrainCheckpoint ck;
-    if (load_train_checkpoint(options.checkpoint_path, model, optimizer,
-                              &ck)) {
+    if (load_train_checkpoint(options.checkpoint_path, data.split.train,
+                              model, optimizer, &ck)) {
       // `order` is shuffled in place each epoch, so the restored vector —
       // not a fresh copy of the split — carries the cumulative permutation
       // the uninterrupted run would have at this epoch.
-      PDN_CHECK(ck.order.size() == data.split.train.size(),
-                "train_model: checkpoint split size mismatch");
       start_epoch = ck.next_epoch;
       optimizer.set_learning_rate(ck.lr);
       rng.set_state(ck.rng);

@@ -59,11 +59,14 @@ void save_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
 
 /// Restore a "PDNT" file into an existing model/optimizer. Returns false —
 /// logging the named reason, never throwing — when the file is missing,
-/// truncated, fails its checksum, or doesn't match the model architecture;
-/// the model and optimizer are then untouched, and the caller trains from
-/// scratch.
-bool load_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
-                           nn::Adam& optimizer, TrainCheckpoint* state);
+/// truncated, fails its checksum, doesn't match the model architecture, or
+/// holds a training order that is not a permutation of `train_split` (it was
+/// written for another split); the model and optimizer are then untouched,
+/// and the caller trains from scratch.
+bool load_train_checkpoint(const std::string& path,
+                           const std::vector<int>& train_split,
+                           WorstCaseNoiseNet& model, nn::Adam& optimizer,
+                           TrainCheckpoint* state);
 
 /// Mean per-sample L1 loss over an index set (no gradients).
 double evaluate_loss(WorstCaseNoiseNet& model, const CompiledDataset& data,

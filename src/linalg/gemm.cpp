@@ -1,8 +1,8 @@
 // Public GEMM entry points: work accounting plus dispatch into the kernel
 // registry (linalg/kernels/registry.hpp). The kernel bodies themselves live
 // in src/linalg/kernels/ — gemm_scalar.cpp holds the historical portable
-// loops, gemm_avx2.cpp the vectorized backend — both compiled with
-// -ffp-contract=off to keep the backends bit-identical.
+// loops, gemm_avx2.cpp the vectorized backend. The tree-wide
+// -ffp-contract=off (root CMakeLists.txt) keeps the backends bit-identical.
 #include "linalg/gemm.hpp"
 
 #include <cstdint>

@@ -11,8 +11,8 @@
 // kernel-dispatch job memcmp the two backends): every output element
 // accumulates its k terms in ascending order, each term as an explicit
 // multiply (_mm256_mul_ps) then add (_mm256_add_ps) — the same two roundings
-// the scalar loops perform — and this translation unit is compiled with
-// -ffp-contract=off so the compiler cannot fuse the pair into an FMA. The
+// the scalar loops perform — and the tree-wide -ffp-contract=off keeps
+// the compiler from fusing the pair into an FMA. The
 // speedup comes from keeping C tiles in ymm accumulators (the scalar kernel
 // streams every C row through memory once per k step), from packed
 // contiguous B panels, and — for conv — from skipping the 9x im2col

@@ -1,8 +1,8 @@
 // Scalar (generic fallback) GEMM backend: the historical cache-blocked
-// kernels, written so the inner loops auto-vectorize. This translation unit
-// is compiled with -ffp-contract=off — each accumulated term is an explicit
-// multiply then add, the op schedule the AVX2 backend reproduces lane for
-// lane — so the two backends are bit-identical (tests/test_kernels.cpp).
+// kernels, written so the inner loops auto-vectorize. Each accumulated term
+// is an explicit multiply then add, the op schedule the AVX2 backend
+// reproduces lane for lane, and the tree-wide -ffp-contract=off keeps it
+// unfused, so the two backends are bit-identical (tests/test_kernels.cpp).
 #include <cstddef>
 #include <cstdint>
 

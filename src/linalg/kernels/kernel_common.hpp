@@ -3,10 +3,10 @@
 // The blocking constants, beta-scaling pass, and row-panel parallel driver
 // live here so the scalar fallback and the AVX2 backend partition work —
 // and therefore schedule floating-point operations per output element —
-// identically. Both backend translation units are compiled with
-// -ffp-contract=off (see src/linalg/CMakeLists.txt): the determinism
-// contract requires an explicit multiply-then-add per accumulated term in
-// both, so neither may be silently contracted into FMA.
+// identically. The determinism contract requires an explicit
+// multiply-then-add per accumulated term in both, and the tree-wide
+// -ffp-contract=off (root CMakeLists.txt) keeps the compiler from
+// contracting either into FMA.
 #pragma once
 
 #include <algorithm>

@@ -19,8 +19,8 @@
 // kernel-dispatch job): every backend computes bit-identical results at any
 // thread count, and the two backends are bit-identical to each other. Both
 // therefore accumulate each output element's k terms in ascending order with
-// an explicit multiply-then-add per term; the kernel translation units are
-// compiled with -ffp-contract=off so neither backend silently fuses into
+// an explicit multiply-then-add per term, and the tree-wide
+// -ffp-contract=off keeps the compiler from fusing either backend into
 // FMA. The AVX2 speedup comes from register-blocked accumulators, packed
 // B panels, and skipping im2col — not from reassociation.
 #pragma once

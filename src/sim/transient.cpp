@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 
 namespace pdnn::sim {
 
-int resolve_sim_batch(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("PDNN_SIM_BATCH"); env && *env) {
-    const int parsed =
-        util::parse_number<int>("PDNN_SIM_BATCH", env, "an integer");
-    if (parsed > 0) return parsed;
-  }
-  return 8;
-}
+int resolve_sim_batch(int requested) { return requested > 0 ? requested : 8; }
 
 TransientSimulator::TransientSimulator(const pdn::PowerGrid& grid,
                                        TransientOptions options)

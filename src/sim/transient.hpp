@@ -26,11 +26,8 @@ struct TransientOptions {
 };
 
 /// Batch width for simulate_batch call sites: `requested` if positive, else
-/// the PDNN_SIM_BATCH environment variable if set to a positive integer,
-/// else 8 (the width where factor streaming is fully amortized on the
-/// Table-1 designs). Batch width never changes results — see simulate_batch.
-/// A PDNN_SIM_BATCH that is not a whole integer in int range throws a
-/// CheckError naming the variable; unset, empty or <= 0 means the default.
+/// 8 (the width where factor streaming is fully amortized on the Table-1
+/// designs). Batch width never changes results — see simulate_batch.
 int resolve_sim_batch(int requested = 0);
 
 /// Output of one dynamic analysis run.

@@ -10,9 +10,9 @@
 // and substitution loop starts at first(i). On D1-D4 that is 52-58% of the
 // band a fixed-width band Cholesky would store and stream.
 //
-// cholesky.cpp compiles with -ffp-contract=off in every build type, so a
-// factor and a solve give the same bits in Release and Debug, on gcc and
-// clang (DESIGN.md §8).
+// Like the whole tree, cholesky.cpp compiles with -ffp-contract=off in every
+// build type, so a factor and a solve give the same bits in Release and
+// Debug, on gcc and clang, native or not (DESIGN.md §8).
 #pragma once
 
 #include <cstddef>

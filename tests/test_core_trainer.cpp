@@ -1,7 +1,8 @@
 // Trainer tests: loss decreases, overfitting a single sample works, the
 // evaluation helper is consistent, interrupted training resumes to
-// bit-identical weights from a "PDNT" checkpoint, and a rejected checkpoint
-// leaves the model and optimizer untouched.
+// bit-identical weights from a "PDNT" checkpoint, a rejected checkpoint
+// leaves the model and optimizer untouched, and the bits of training and of
+// prediction are pinned by digest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "core/trainer.hpp"
 #include "util/hash.hpp"
 #include "util/io.hpp"
+#include "util/rng.hpp"
 
 namespace pdnn {
 namespace {
@@ -253,7 +255,8 @@ TEST(Trainer, RejectedCheckpointLeavesModelUntouched) {
   core::WorstCaseNoiseNet pristine(narrow);
   nn::Adam optimizer(model.parameters());
   core::TrainCheckpoint ck;
-  EXPECT_FALSE(core::load_train_checkpoint(path, model, optimizer, &ck));
+  EXPECT_FALSE(
+      core::load_train_checkpoint(path, {0}, model, optimizer, &ck));
   expect_weights_bit_equal(model, pristine);
   EXPECT_EQ(optimizer.steps_taken(), 0);
   EXPECT_TRUE(ck.order.empty());
@@ -267,7 +270,7 @@ TEST(Trainer, RejectedCheckpointLeavesModelUntouched) {
   std::vector<nn::Parameter*> all_but_last = twin.parameters();
   all_but_last.pop_back();
   nn::Adam partial(all_but_last);
-  EXPECT_FALSE(core::load_train_checkpoint(path, twin, partial, &ck));
+  EXPECT_FALSE(core::load_train_checkpoint(path, {0}, twin, partial, &ck));
   expect_weights_bit_equal(twin, twin_pristine);
   EXPECT_EQ(partial.steps_taken(), 0);
   for (const nn::Tensor* t : partial.state_tensors()) {
@@ -303,7 +306,56 @@ TEST(Trainer, CheckpointCountBeyondFileIsRejected) {
   util::write_file_atomic(path, bytes);
 
   core::TrainCheckpoint ck;
-  EXPECT_FALSE(core::load_train_checkpoint(path, model, optimizer, &ck));
+  EXPECT_FALSE(
+      core::load_train_checkpoint(path, {0, 1}, model, optimizer, &ck));
+}
+
+// A checkpoint's training order indexes the split it was written for. Resumed
+// onto another split it must be rejected before the model or the optimizer
+// sees it, and training must start fresh: the weights equal those of a run
+// that never saw the checkpoint.
+void expect_resume_onto_other_split_trains_fresh(
+    const Fixture& f, const std::vector<int>& checkpoint_split,
+    const std::string& name) {
+  core::CompiledDataset other = f.data;
+  other.split.train = checkpoint_split;
+  core::TrainOptions opt;
+  opt.epochs = 2;
+  opt.lr = 1e-3f;
+  opt.checkpoint_path = fresh_checkpoint(name);
+  opt.checkpoint_every = 1;
+  core::WorstCaseNoiseNet first(f.config());
+  core::train_model(first, other, opt);
+
+  opt.epochs = 3;
+  opt.resume = true;
+  core::WorstCaseNoiseNet resumed(f.config());
+  const core::TrainReport report = core::train_model(resumed, f.data, opt);
+  EXPECT_EQ(report.train_loss.size(), 3u);
+
+  core::TrainOptions plain;
+  plain.epochs = 3;
+  plain.lr = 1e-3f;
+  core::WorstCaseNoiseNet fresh(f.config());
+  core::train_model(fresh, f.data, plain);
+  expect_weights_bit_equal(resumed, fresh);
+}
+
+TEST(Trainer, ResumeOntoSplitOfOtherLengthTrainsFresh) {
+  Fixture f(8);
+  std::vector<int> shorter = f.data.split.train;
+  ASSERT_GT(shorter.size(), 1u);
+  shorter.pop_back();
+  expect_resume_onto_other_split_trains_fresh(f, shorter, "other_length");
+}
+
+TEST(Trainer, ResumeOntoSplitWithForeignIndexTrainsFresh) {
+  // Same length, but one index is a validation sample of the current split.
+  Fixture f(8);
+  ASSERT_FALSE(f.data.split.val.empty());
+  std::vector<int> foreign = f.data.split.train;
+  foreign.back() = f.data.split.val.front();
+  expect_resume_onto_other_split_trains_fresh(f, foreign, "foreign_index");
 }
 
 TEST(Trainer, LoadCheckpointRejectsMissingFile) {
@@ -312,7 +364,106 @@ TEST(Trainer, LoadCheckpointRejectsMissingFile) {
   nn::Adam optimizer(model.parameters());
   core::TrainCheckpoint ck;
   EXPECT_FALSE(core::load_train_checkpoint(
-      fresh_checkpoint("absent"), model, optimizer, &ck));
+      fresh_checkpoint("absent"), f.data.split.train, model, optimizer, &ck));
+}
+
+// Fills `t` with uniform() draws centred on zero. uniform() scales a 53-bit
+// integer by 2^-53, so the draws need no libm and are the same everywhere,
+// while their products are inexact: a float multiply and add contracted
+// into one FMA round differently from the two separate operations, and the
+// digests below see it. (Values such as k * 0.125 multiply exactly and
+// would hide it.)
+void fill_uniform(nn::Tensor& t, util::Rng& rng) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = static_cast<float>(rng.uniform() - 0.5);
+  }
+}
+
+core::ModelConfig pinned_config(int distance_channels, int rows, int cols) {
+  core::ModelConfig c;
+  c.distance_channels = distance_channels;
+  c.tile_rows = rows;
+  c.tile_cols = cols;
+  c.c1 = 2;
+  c.c2 = 2;
+  c.c3 = 4;
+  c.current_scale = 0.75f;
+  c.noise_scale = 1.5f;
+  return c;
+}
+
+void fill_weights(core::WorstCaseNoiseNet& model, util::Rng& rng) {
+  for (nn::Parameter* p : model.parameters()) {
+    fill_uniform(p->var.mutable_value(), rng);
+  }
+}
+
+std::uint64_t weights_digest(core::WorstCaseNoiseNet& model) {
+  util::Fnv1a64 h;
+  for (nn::Parameter* p : model.parameters()) {
+    const nn::Tensor& t = p->var.value();
+    h.add_bytes(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
+  }
+  return h.digest();
+}
+
+// Training bits must not depend on the build type, the compiler or -march
+// (the tree builds with -ffp-contract=off). Two epochs at a constant rate
+// run the forward and backward passes, the temporal statistics and Adam on
+// a dataset drawn from uniform(); the digest covers every parameter.
+TEST(Trainer, TrainBitsArePinned) {
+  util::Rng rng(2024);
+  constexpr int kBumps = 3;
+  constexpr int kTiles = 4;
+  core::CompiledDataset data;
+  data.distance = nn::Tensor({1, kBumps, kTiles, kTiles});
+  fill_uniform(data.distance, rng);
+  for (int i = 0; i < 4; ++i) {
+    core::CompiledSample s;
+    s.currents = nn::Tensor({3, 1, kTiles, kTiles});
+    s.target = nn::Tensor({1, 1, kTiles, kTiles});
+    fill_uniform(s.currents, rng);
+    fill_uniform(s.target, rng);
+    data.samples.push_back(std::move(s));
+  }
+  data.split.train = {0, 1, 2};
+  data.split.val = {3};
+
+  core::WorstCaseNoiseNet model(pinned_config(kBumps, kTiles, kTiles));
+  fill_weights(model, rng);
+  core::TrainOptions opt;
+  opt.epochs = 2;
+  opt.lr = 1e-2f;
+  opt.lr_decay = 1.0f;
+  core::train_model(model, data, opt);
+  EXPECT_EQ(weights_digest(model), 0x35381e38f70286e7ull);
+}
+
+// Prediction bits are pinned the same way: spatial aggregation, Algorithm 1,
+// the distance feature and one CNN pass over a trace drawn from uniform().
+// A contracted float multiply and add moves the digest; a contraction in the
+// double-precision sums of Algorithm 1 and the temporal statistics reaches
+// the map only through a cast to float, and so rarely shows.
+TEST(Pipeline, PredictBitsArePinned) {
+  const pdn::DesignSpec spec = tiny_spec();
+  const pdn::PowerGrid grid(spec);
+  util::Rng rng(2025);
+  core::WorstCaseNoiseNet model(pinned_config(
+      static_cast<int>(grid.bumps().size()), spec.tile_rows, spec.tile_cols));
+  fill_weights(model, rng);
+  vectors::CurrentTrace trace(24, static_cast<int>(grid.load_nodes().size()),
+                              1e-12);
+  for (int k = 0; k < trace.num_steps(); ++k) {
+    for (int j = 0; j < trace.num_loads(); ++j) {
+      trace.at(k, j) = static_cast<float>(rng.uniform());
+    }
+  }
+  core::PipelineOptions popt;
+  popt.temporal.rate = 0.25;
+  const core::WorstCasePipeline pipeline(grid, model, popt);
+  const util::MapF map = pipeline.predict(trace);
+  EXPECT_EQ(util::fnv1a64(map.data(), map.size() * sizeof(float)),
+            0x4879f465f91b8d42ull);
 }
 
 TEST(Pipeline, PredictionMatchesManualForward) {

@@ -331,9 +331,9 @@ TEST(Cholesky, SolveMultiSolvesEveryColumn) {
 
 TEST(Cholesky, SolveBitsArePinned) {
   // The golden engine's bits must not depend on the build type or the
-  // compiler: cholesky.cpp compiles with -ffp-contract=off in every build,
-  // and its loops use only +, -, *, / and sqrt in a fixed order. The matrix
-  // and the right-hand side are built from exact integers and binary
+  // compiler: the tree compiles with -ffp-contract=off in every build, and
+  // the solver's loops use only +, -, *, / and sqrt in a fixed order. The
+  // matrix and the right-hand side are built from exact integers and binary
   // fractions (no libm, nothing this file could contract), so the digest of
   // the solution is a property of the solver alone and holds on every
   // compiler and build type that CI runs.
