@@ -1,11 +1,12 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "linalg/kernels/registry.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -41,24 +42,6 @@ void add_common_flags(util::ArgParser& args) {
   args.add_flag("split", "expansion", "train split: expansion|random");
   args.add_bool("ablate-distance", "zero the bump-distance feature (ablation)");
   args.add_bool("verbose", "print per-epoch losses and progress");
-  add_runtime_flags(args);
-}
-
-void add_metrics_flags(util::ArgParser& args) {
-  args.add_flag("trace", "",
-                "write a Chrome trace-event JSON (Perfetto-loadable) here");
-  args.add_flag("metrics-json", "",
-                "write the structured run-metrics report (JSON) here");
-  args.add_flag("metrics-out", "",
-                "telemetry directory: periodic metrics.jsonl time series, "
-                "metrics.prom Prometheus exposition, flight.json post-mortem "
-                "(empty: PDNN_METRICS_OUT, or off)");
-  args.add_flag("metrics-interval-ms", "250",
-                "metrics snapshot period in milliseconds (needs "
-                "--metrics-out)");
-}
-
-void add_runtime_flags(util::ArgParser& args) {
   args.add_flag("threads", "0",
                 "worker threads for the shared pool "
                 "(0: PDNN_THREADS or hardware concurrency)");
@@ -67,39 +50,25 @@ void add_runtime_flags(util::ArgParser& args) {
                 "the CPUID probe; forcing an unsupported backend errors)");
   args.add_flag("store-dir", "",
                 "persistent run store: content-addressed golden-simulation "
-                "cache + training checkpoints (empty: PDNN_STORE, or off)");
+                "cache + training checkpoints (empty: off)");
   args.add_flag("checkpoint-every", "0",
                 "write a training checkpoint into the store every N epochs "
                 "(0: off; needs --store-dir)");
   args.add_bool("resume",
-                "restore the store's training checkpoint before training "
-                "(bit-identical to an uninterrupted run; needs --store-dir)");
-  add_metrics_flags(args);
-}
-
-RuntimeConfig apply_runtime_flags(const util::ArgParser& args) {
-  RuntimeConfig rc;
-  rc.threads = args.get_int("threads");
-  if (rc.threads > 0) util::ThreadPool::set_global_threads(rc.threads);
-  const std::string kernel = args.get("kernel");
-  if (!kernel.empty()) {
-    linalg::force_backend(linalg::parse_backend(kernel));
-  }
-  rc.backend = linalg::active_backend();
-  return rc;
-}
-
-StoreFlags store_flags_from_args(const util::ArgParser& args) {
-  StoreFlags sf;
-  sf.dir = args.get("store-dir");
-  if (sf.dir.empty()) {
-    if (const char* env = std::getenv("PDNN_STORE")) sf.dir = env;
-  }
-  sf.checkpoint_every = args.get_int("checkpoint-every");
-  sf.resume = args.get_bool("resume");
-  PDN_CHECK(sf.dir.empty() ? sf.checkpoint_every <= 0 && !sf.resume : true,
-            "--checkpoint-every/--resume need --store-dir (or PDNN_STORE)");
-  return sf;
+                "restore the store's training checkpoint for this run's data "
+                "before training (bit-identical to an uninterrupted run; "
+                "needs --store-dir)");
+  args.add_flag("trace", "",
+                "write a Chrome trace-event JSON (Perfetto-loadable) here");
+  args.add_flag("metrics-json", "",
+                "write the structured run-metrics report (JSON) here");
+  args.add_flag("metrics-out", "",
+                "telemetry directory: periodic metrics.jsonl time series, "
+                "metrics.prom Prometheus exposition, flight.json post-mortem "
+                "(empty: off)");
+  args.add_flag("metrics-interval-ms", "250",
+                "metrics snapshot period in milliseconds (needs "
+                "--metrics-out)");
 }
 
 std::unique_ptr<store::Store> open_store(const std::string& dir) {
@@ -173,12 +142,15 @@ ExperimentOptions options_from_args(const util::ArgParser& args) {
                                           : core::SplitStrategy::kExpansion;
   o.ablate_distance = args.get_bool("ablate-distance");
   o.verbose = args.get_bool("verbose");
-  const RuntimeConfig rc = apply_runtime_flags(args);
-  o.threads = rc.threads;
-  const StoreFlags sf = store_flags_from_args(args);
-  o.store_dir = sf.dir;
-  o.checkpoint_every = sf.checkpoint_every;
-  o.resume = sf.resume;
+  const int threads = args.get_int("threads");
+  if (threads > 0) util::ThreadPool::set_global_threads(threads);
+  const std::string& kernel = args.get("kernel");
+  if (!kernel.empty()) linalg::force_backend(linalg::parse_backend(kernel));
+  o.store_dir = args.get("store-dir");
+  o.checkpoint_every = args.get_int("checkpoint-every");
+  o.resume = args.get_bool("resume");
+  PDN_CHECK(!o.store_dir.empty() || (o.checkpoint_every <= 0 && !o.resume),
+            "--checkpoint-every/--resume need --store-dir");
   return o;
 }
 
@@ -245,12 +217,10 @@ DesignExperiment run_design_experiment(const pdn::DesignSpec& base_spec,
           : std::pow(0.02f, 1.0f / static_cast<float>(options.epochs));
   topt.verbose = options.verbose;
   if (options.checkpoint_every > 0 || options.resume) {
-    PDN_CHECK(!options.store_dir.empty(),
-              "checkpointing needs --store-dir (or PDNN_STORE)");
-    // One checkpoint per design, named so multi-design drivers don't
-    // collide in a shared store.
-    topt.checkpoint_path =
-        options.store_dir + "/ckpt_" + ex.spec.name + ".pdnt";
+    PDN_CHECK(run_store != nullptr, "checkpointing needs --store-dir");
+    // The checkpoint is keyed by the compiled dataset, so designs sharing a
+    // store never collide and a run over other data trains fresh.
+    topt.checkpoint_store = run_store.get();
     topt.checkpoint_every =
         options.checkpoint_every > 0 ? options.checkpoint_every : 1;
     topt.resume = options.resume;
@@ -261,7 +231,8 @@ DesignExperiment run_design_experiment(const pdn::DesignSpec& base_spec,
   // 4) Evaluate on the held-out test split. The proposed runtime is measured
   //    end-to-end from the raw vector through the pipeline (spatial +
   //    temporal compression + one CNN pass), as in the paper's Table 2,
-  //    after one untimed warm-up call. The commercial runtime is not
+  //    after one untimed warm-up call, as the median over kTimedPasses
+  //    passes of the pass's mean time per map. The commercial runtime is not
   //    re-measured: it is simulate_dataset's time-stepping wall time
   //    (total_sim_seconds, a batched block's time split evenly over its
   //    vectors) divided by the number of simulated vectors.
@@ -278,26 +249,38 @@ DesignExperiment run_design_experiment(const pdn::DesignSpec& base_spec,
   }
 
   // The first predict() pays for cold caches and scratch growth; keep it
-  // out of the mean. Its map is discarded, so no accuracy figure moves.
+  // out of the timing. Its map is discarded, so no accuracy figure moves.
+  // A single pass holds about a dozen maps at small scale, too few to
+  // outlast a busy moment on a shared host, so the passes repeat and the
+  // median pass counts. predict() is deterministic: every pass returns the
+  // first pass's maps, and the accuracy is taken from that one.
   if (!traces.empty()) pipeline.predict(traces.front());
-  double proposed = 0.0;
-  for (int idx : ex.data.split.test) {
-    const int raw_idx =
-        ex.data.samples[static_cast<std::size_t>(idx)].raw_index;
-    core::PredictionTiming timing;
-    const util::MapF pred =
-        pipeline.predict(traces[static_cast<std::size_t>(raw_idx)], &timing);
-    proposed += timing.total_seconds;
-    evaluator.add(pred,
-                  ex.raw.samples[static_cast<std::size_t>(raw_idx)].truth);
-    ex.test_predictions.push_back(pred);
+  constexpr int kTimedPasses = 5;
+  std::vector<double> pass_seconds(kTimedPasses, 0.0);
+  for (int pass = 0; pass < kTimedPasses; ++pass) {
+    for (int idx : ex.data.split.test) {
+      const int raw_idx =
+          ex.data.samples[static_cast<std::size_t>(idx)].raw_index;
+      core::PredictionTiming timing;
+      const util::MapF pred = pipeline.predict(
+          traces[static_cast<std::size_t>(raw_idx)], &timing);
+      pass_seconds[static_cast<std::size_t>(pass)] += timing.total_seconds;
+      if (pass > 0) continue;
+      evaluator.add(pred,
+                    ex.raw.samples[static_cast<std::size_t>(raw_idx)].truth);
+      ex.test_predictions.push_back(pred);
+    }
   }
   ex.accuracy = evaluator.accuracy();
   ex.hotspots = evaluator.hotspots();
 
   const std::size_t tests = ex.data.split.test.size();
   PDN_CHECK(tests > 0, "experiment produced no test samples");
-  ex.proposed_seconds_per_vector = proposed / static_cast<double>(tests);
+  std::nth_element(pass_seconds.begin(),
+                   pass_seconds.begin() + kTimedPasses / 2,
+                   pass_seconds.end());
+  ex.proposed_seconds_per_vector =
+      pass_seconds[kTimedPasses / 2] / static_cast<double>(tests);
   ex.commercial_seconds_per_vector =
       ex.raw.total_sim_seconds / static_cast<double>(ex.raw.samples.size());
   ex.speedup =
@@ -357,9 +340,6 @@ RunMetrics::RunMetrics(std::string bench_name, const util::ArgParser& args)
       trace_path_(args.get("trace")),
       metrics_path_(args.get("metrics-json")),
       metrics_out_(args.get("metrics-out")) {
-  if (metrics_out_.empty()) {
-    if (const char* env = std::getenv("PDNN_METRICS_OUT")) metrics_out_ = env;
-  }
   // Any output implies collection. With only --metrics-json the span ring
   // buffers still fill (bounded memory) but are never serialized.
   if (enabled()) obs::set_enabled(true);

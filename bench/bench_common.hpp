@@ -17,7 +17,6 @@
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
 #include "eval/metrics.hpp"
-#include "linalg/kernels/registry.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
@@ -47,51 +46,21 @@ struct ExperimentOptions {
   core::SplitStrategy split = core::SplitStrategy::kExpansion;
   bool ablate_distance = false;  ///< zero the bump-distance feature
   bool verbose = false;
-  int threads = 0;   ///< pool size; 0 = PDNN_THREADS / hardware concurrency
   std::string store_dir;     ///< persistent run store; empty = disabled
   int checkpoint_every = 0;  ///< write a training checkpoint every N epochs
-  bool resume = false;       ///< restore the store's checkpoint before training
+  bool resume = false;       ///< restore this data's checkpoint before training
 };
 
 /// Defaults per scale, overridable from the CLI.
 ExperimentOptions options_for_scale(pdn::Scale scale);
 
-/// Register the standard experiment flags on a parser (includes the runtime
-/// flags below).
+/// Register the flags every experiment driver shares: the experiment knobs
+/// above, the execution flags (--threads, --kernel), the store flags
+/// (--store-dir, --checkpoint-every, --resume) and the observability flags
+/// (--trace, --metrics-json, --metrics-out, --metrics-interval-ms), so
+/// `--help` documents them identically everywhere. A driver may re-add one
+/// with its own default.
 void add_common_flags(util::ArgParser& args);
-
-/// Register only the observability flags (--trace, --metrics-json,
-/// --metrics-out, --metrics-interval-ms); for drivers that don't take the
-/// full experiment flag set. add_common_flags and add_runtime_flags already
-/// include these.
-void add_metrics_flags(util::ArgParser& args);
-
-/// The execution flags every driver shares — --threads, --kernel, the store
-/// flags and the observability flags — registered once here so the
-/// harnesses don't each hand-roll the set (and so `--help` documents them
-/// identically everywhere).
-void add_runtime_flags(util::ArgParser& args);
-
-/// Resolved values of the add_runtime_flags set.
-struct RuntimeConfig {
-  int threads = 0;  ///< pool size actually applied
-  linalg::KernelBackend backend = linalg::KernelBackend::kScalar;
-};
-
-/// Apply the parsed runtime flags: size the global thread pool and select
-/// the kernel backend. Call once, right after parse().
-RuntimeConfig apply_runtime_flags(const util::ArgParser& args);
-
-/// Resolved values of the persistent-store flags registered by
-/// add_runtime_flags (--store-dir / PDNN_STORE, --checkpoint-every,
-/// --resume).
-struct StoreFlags {
-  std::string dir;           ///< empty = store disabled
-  int checkpoint_every = 0;
-  bool resume = false;
-};
-
-StoreFlags store_flags_from_args(const util::ArgParser& args);
 
 /// Open the persistent run store named by `dir`, creating the directory on
 /// first use. Returns nullptr when `dir` is empty (store disabled) — callers
@@ -116,7 +85,8 @@ struct ServeFlags {
 
 ServeFlags serve_flags_from_args(const util::ArgParser& args);
 
-/// Build options from parsed flags (applies the runtime flags).
+/// Build options from parsed flags. Also sizes the global thread pool and
+/// selects the kernel backend; call once, right after parse().
 ExperimentOptions options_from_args(const util::ArgParser& args);
 
 /// Everything produced by one design's end-to-end experiment.
@@ -132,7 +102,8 @@ struct DesignExperiment {
   // Held-out test-set evaluation.
   eval::AccuracyStats accuracy;
   eval::HotspotStats hotspots;
-  double proposed_seconds_per_vector = 0.0;    ///< full pipeline prediction
+  /// Full pipeline prediction: median over 5 passes of a pass's mean.
+  double proposed_seconds_per_vector = 0.0;
   double commercial_seconds_per_vector = 0.0;  ///< golden transient solve
   double speedup = 0.0;
 
@@ -165,9 +136,9 @@ obs::JsonValue experiment_json(const DesignExperiment& ex);
 /// Structured metrics report + telemetry sinks for one bench run (--trace /
 /// --metrics-json / --metrics-out). Construct after parsing flags;
 /// instrumentation turns on when any output was requested. --metrics-out DIR
-/// (or PDNN_METRICS_OUT) additionally starts a periodic MetricsSnapshotter
-/// writing DIR/metrics.jsonl + DIR/metrics.prom and points the flight
-/// recorder's post-mortem at DIR/flight.json. Shutdown hooks flush every
+/// additionally starts a periodic MetricsSnapshotter writing
+/// DIR/metrics.jsonl + DIR/metrics.prom and points the flight recorder's
+/// post-mortem at DIR/flight.json. Shutdown hooks flush every
 /// sink even when the driver dies on an uncaught CheckError. Call finish()
 /// once, after the last stage, to write the files.
 class RunMetrics {

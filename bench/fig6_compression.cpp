@@ -7,7 +7,6 @@
 // rate; --strategy uniform swaps Algorithm 1 for uniform subsampling as an
 // ablation baseline.
 #include <cstdio>
-#include <sstream>
 
 #include "bench_common.hpp"
 
@@ -37,12 +36,7 @@ int main(int argc, char** argv) {
   metrics.set("strategy", uniform ? "uniform" : "algorithm1");
 
   const std::vector<double> rates = args.get_double_list("rates");
-  std::vector<std::string> designs;
-  {
-    std::stringstream ss(args.get("designs"));
-    std::string item;
-    while (std::getline(ss, item, ',')) designs.push_back(item);
-  }
+  const std::vector<std::string> designs = args.get_list("designs");
 
   std::printf("Fig. 6: temporal compression sweep (scale=%s, strategy=%s)\n",
               pdn::to_string(options.scale).c_str(),

@@ -80,20 +80,7 @@ int main(int argc, char** argv) {
   const std::string out_dir = args.get("out-dir");
   std::filesystem::create_directories(out_dir);
 
-  std::vector<std::string> design_names;
-  {
-    const std::string list = args.get("designs");
-    std::size_t begin = 0;
-    while (begin <= list.size()) {
-      const std::size_t comma = list.find(',', begin);
-      const std::string name =
-          list.substr(begin, comma == std::string::npos ? std::string::npos
-                                                        : comma - begin);
-      if (!name.empty()) design_names.push_back(name);
-      if (comma == std::string::npos) break;
-      begin = comma + 1;
-    }
-  }
+  const std::vector<std::string> design_names = args.get_list("designs");
 
   bench::RunMetrics metrics("quantize_artifact", args);
   metrics.set("budget_mv", budget_mv);

@@ -122,8 +122,7 @@ int main(int argc, char** argv) {
   // is configured (the artifact-distribution path a real fleet would use);
   // otherwise the PDNB file itself is the swap source.
   std::string swap_path = artifact_path;
-  const bench::StoreFlags store_flags = bench::store_flags_from_args(args);
-  if (const auto store = bench::open_store(store_flags.dir)) {
+  if (const auto store = bench::open_store(options.store_dir)) {
     const std::uint64_t key = store->put_file(artifact_path);
     swap_path = artifact_path + ".fetched";
     if (!store->get_file(key, swap_path)) {

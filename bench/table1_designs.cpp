@@ -13,26 +13,23 @@ int main(int argc, char** argv) {
 
   util::ArgParser args("table1_designs",
                        "Reproduce Table 1 (design characteristics)");
-  args.add_flag("scale", "small", "experiment scale: small|medium|paper");
+  bench::add_common_flags(args);
+  // Table 1 only simulates, so it samples fewer vectors than a training run.
   args.add_flag("vectors", "8", "sample vectors per design");
-  args.add_flag("steps", "80", "time steps per vector");
-  bench::add_runtime_flags(args);
   if (!args.parse(argc, argv)) return 0;
 
-  const auto scale = pdn::scale_from_string(args.get("scale"));
-  const int num_vectors = args.get_int("vectors");
-  bench::apply_runtime_flags(args);
-  const bench::StoreFlags store_flags = bench::store_flags_from_args(args);
+  const bench::ExperimentOptions options = bench::options_from_args(args);
+  const pdn::Scale scale = options.scale;
+  const int num_vectors = options.num_vectors;
   const std::unique_ptr<store::Store> run_store =
-      bench::open_store(store_flags.dir);
+      bench::open_store(options.store_dir);
 
   bench::RunMetrics metrics("table1_designs", args);
   metrics.set("scale", pdn::to_string(scale));
   metrics.set("vectors", num_vectors);
   if (run_store) metrics.set("store_dir", run_store->directory());
 
-  vectors::VectorGenParams gen_params;
-  gen_params.num_steps = args.get_int("steps");
+  const vectors::VectorGenParams gen_params = bench::gen_params_for(options);
 
   std::printf("Table 1: Characteristics of designs in experiment (scale=%s)\n",
               pdn::to_string(scale).c_str());

@@ -34,12 +34,7 @@ int main(int argc, char** argv) {
               "Design", "m x n", "Mean AE/RE", "99% AE/RE", "Max AE/RE",
               "Proposed(s)", "Commercial(s)", "Speedup", "HotspotMiss");
 
-  std::string csv = args.get("designs");
-  for (std::size_t pos = 0; pos < csv.size();) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string name = csv.substr(pos, comma - pos);
-    pos = comma == std::string::npos ? csv.size() : comma + 1;
-
+  for (const std::string& name : args.get_list("designs")) {
     const pdn::DesignSpec base = pdn::design_by_name(name, options.scale);
     const DesignExperiment ex = run_design_experiment(base, options);
     metrics.add_experiment(ex);

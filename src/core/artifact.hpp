@@ -1,6 +1,6 @@
 // Single-file model artifact: the versioned "PDNB" container.
 //
-// A checkpoint must be self-describing — the serving layer rebuilds a
+// An artifact must be self-describing — the serving layer rebuilds a
 // complete inference stack from one file with no side-channel metadata.
 // Layout (little-endian, fixed field order):
 //
@@ -17,8 +17,8 @@
 //
 // Every read is checked; truncation, a bad magic, or a shape mismatch throws
 // util::CheckError naming the offending field. The field read/write and
-// magic/version conventions are shared with the PDNC store chunks and PDNT
-// training checkpoints via store/container.hpp.
+// magic/version conventions are shared with the PDNC store chunks via
+// store/container.hpp.
 #pragma once
 
 #include <memory>
@@ -31,7 +31,7 @@
 
 namespace pdnn::core {
 
-/// A loaded checkpoint: everything needed to rebuild the inference pipeline
+/// A loaded artifact: everything needed to rebuild the inference pipeline
 /// for the design the model was trained on (the distance feature and spatial
 /// compressor are derived from the PowerGrid at pipeline construction).
 struct ModelArtifact {

@@ -1,6 +1,5 @@
 #include "core/features.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -75,16 +74,6 @@ util::MapF tensor_to_map(const nn::Tensor& t, float scale) {
     map.storage()[i] = t.data()[i] * scale;
   }
   return map;
-}
-
-float current_scale_for(const std::vector<std::vector<util::MapF>>& map_sets) {
-  float scale = 0.0f;
-  for (const auto& maps : map_sets) {
-    for (const util::MapF& m : maps) {
-      scale = std::max(scale, m.max_value());
-    }
-  }
-  return std::max(scale, 1e-12f);
 }
 
 }  // namespace pdnn::core

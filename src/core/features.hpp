@@ -30,8 +30,4 @@ nn::Tensor map_to_tensor(const util::MapF& map, float scale);
 /// [1, 1, m, n] tensor -> tile map (multiplied by scale).
 util::MapF tensor_to_map(const nn::Tensor& t, float scale);
 
-/// Normalization scale for current maps: the maximum tile current observed
-/// across a set of maps (clamped away from zero).
-float current_scale_for(const std::vector<std::vector<util::MapF>>& map_sets);
-
 }  // namespace pdnn::core

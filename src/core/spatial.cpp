@@ -1,14 +1,11 @@
 #include "core/spatial.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace pdnn::core {
 
 SpatialCompressor::SpatialCompressor(const pdn::PowerGrid& grid)
-    : grid_(grid),
-      rows_(grid.spec().tile_rows),
+    : rows_(grid.spec().tile_rows),
       cols_(grid.spec().tile_cols) {
   const auto& loads = grid.load_nodes();
   load_tile_.reserve(loads.size());
@@ -39,19 +36,6 @@ std::vector<util::MapF> SpatialCompressor::current_maps(
     maps.push_back(current_map_at(trace, k));
   }
   return maps;
-}
-
-util::MapF SpatialCompressor::tile_noise(
-    const std::vector<float>& node_worst_noise) const {
-  PDN_CHECK(
-      static_cast<int>(node_worst_noise.size()) >= grid_.num_bottom_nodes(),
-      "SpatialCompressor: node noise vector too small");
-  util::MapF map(rows_, cols_, 0.0f);
-  for (int node = 0; node < grid_.num_bottom_nodes(); ++node) {
-    float& cell = map(grid_.tile_row_of(node), grid_.tile_col_of(node));
-    cell = std::max(cell, node_worst_noise[static_cast<std::size_t>(node)]);
-  }
-  return map;
 }
 
 }  // namespace pdnn::core

@@ -5,7 +5,9 @@
 // *summed* to form the tile's load current (§3.3 "Load current"), and the
 // worst-case noise of a tile is the *max* over its nodes — which preserves
 // the global worst case exactly (Eq. 2) while shrinking the model's input
-// and output from millions of nodes to m x n.
+// and output from millions of nodes to m x n. The golden engine applies that
+// max itself (sim::TransientResult::tile_worst_noise); this class handles
+// the currents.
 #pragma once
 
 #include <vector>
@@ -31,11 +33,7 @@ class SpatialCompressor {
   /// One tile current map for a single time step.
   util::MapF current_map_at(const vectors::CurrentTrace& trace, int step) const;
 
-  /// Reduce per-node worst-case noise to per-tile max (Eq. 2 inner max).
-  util::MapF tile_noise(const std::vector<float>& node_worst_noise) const;
-
  private:
-  const pdn::PowerGrid& grid_;
   int rows_, cols_;
   /// Tile index of each load (parallel to grid.load_nodes()).
   std::vector<int> load_tile_;

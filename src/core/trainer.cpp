@@ -7,21 +7,41 @@
 #include "obs/obs.hpp"
 #include "quant/serialize.hpp"
 #include "store/container.hpp"
+#include "store/store.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
-#include "util/io.hpp"
 
 namespace pdnn::core {
 
-namespace {
+std::uint64_t checkpoint_key(const CompiledDataset& data) {
+  // Everything the weights are trained on, folded in a fixed order; the
+  // leading tag versions the payload layout. Tensors are shape-prefixed and
+  // lists length-prefixed, so no two datasets share a byte stream.
+  util::Fnv1a64 h;
+  h.add_string("pdnn.train_checkpoint.v1");
+  const auto add_tensor = [&h](const nn::Tensor& t) {
+    h.add(static_cast<std::uint64_t>(t.shape().size()));
+    for (int d : t.shape()) h.add(d);
+    h.add_bytes(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
+  };
+  const auto add_indices = [&h](const std::vector<int>& indices) {
+    h.add(static_cast<std::uint64_t>(indices.size()));
+    h.add_bytes(indices.data(), indices.size() * sizeof(int));
+  };
+  add_tensor(data.distance);
+  h.add(static_cast<std::uint64_t>(data.samples.size()));
+  for (const CompiledSample& s : data.samples) {
+    add_tensor(s.currents);
+    add_tensor(s.target);
+  }
+  add_indices(data.split.train);
+  add_indices(data.split.val);
+  return h.digest();
+}
 
-constexpr char kCheckpointMagic[5] = "PDNT";
-constexpr std::uint32_t kCheckpointVersion = 1;
-
-}  // namespace
-
-void save_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
-                           nn::Adam& optimizer, const TrainCheckpoint& state) {
+std::string encode_train_checkpoint(WorstCaseNoiseNet& model,
+                                    nn::Adam& optimizer,
+                                    const TrainCheckpoint& state) {
   std::ostringstream body;
   store::write_field(body, static_cast<std::int32_t>(state.next_epoch));
   store::write_field(body, state.lr);
@@ -34,14 +54,15 @@ void save_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
     store::write_field(body, static_cast<std::int32_t>(idx));
   }
   PDN_CHECK(state.train_loss.size() == state.val_loss.size(),
-            "save_train_checkpoint: loss history length mismatch");
+            "encode_train_checkpoint: loss history length mismatch");
   store::write_field(body,
                      static_cast<std::uint32_t>(state.train_loss.size()));
   for (std::size_t i = 0; i < state.train_loss.size(); ++i) {
     store::write_field(body, state.train_loss[i]);
     store::write_field(body, state.val_loss[i]);
   }
-  quant::write_weights(model.parameters(), quant::ParamDtype::kF32, body, path);
+  quant::write_weights(model.parameters(), quant::ParamDtype::kF32, body,
+                       "training checkpoint");
   store::write_field(body,
                      static_cast<std::int32_t>(optimizer.steps_taken()));
   const std::vector<nn::Tensor*> moments = optimizer.state_tensors();
@@ -51,66 +72,50 @@ void save_train_checkpoint(const std::string& path, WorstCaseNoiseNet& model,
     body.write(reinterpret_cast<const char*>(t->data()),
                static_cast<std::streamsize>(t->numel() * sizeof(float)));
   }
-
-  const std::string payload = std::move(body).str();
-  std::ostringstream file;
-  store::write_magic(file, kCheckpointMagic);
-  store::write_field(file, kCheckpointVersion);
-  store::write_field(file, util::fnv1a64(payload.data(), payload.size()));
-  file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  util::write_file_atomic(path, std::move(file).str());
+  return std::move(body).str();
 }
 
-bool load_train_checkpoint(const std::string& path,
-                           const std::vector<int>& train_split,
-                           WorstCaseNoiseNet& model, nn::Adam& optimizer,
-                           TrainCheckpoint* state) {
-  PDN_CHECK(state != nullptr, "load_train_checkpoint: null output");
-  std::string contents;
-  if (!util::read_file(path, &contents)) return false;  // no checkpoint yet
+bool decode_train_checkpoint(const std::string& payload, std::uint64_t key,
+                             const std::vector<int>& train_split,
+                             WorstCaseNoiseNet& model, nn::Adam& optimizer,
+                             TrainCheckpoint* state) {
+  PDN_CHECK(state != nullptr, "decode_train_checkpoint: null output");
+  const std::string where = "checkpoint chunk " + store::Store::key_hex(key);
   try {
-    std::istringstream in(contents);
-    store::check_magic(in, kCheckpointMagic, path);
-    store::check_version(in, kCheckpointVersion, path);
-    const auto stored = store::read_field<std::uint64_t>(in, path, "checksum");
-    const auto body_off = static_cast<std::size_t>(in.tellg());
-    const std::uint64_t actual = util::fnv1a64(
-        contents.data() + body_off, contents.size() - body_off);
-    PDN_CHECK(stored == actual,
-              "checksum mismatch in " + path + " (field 'payload')");
-
+    std::istringstream in(payload);
     TrainCheckpoint ck;
-    ck.next_epoch = store::read_field<std::int32_t>(in, path, "next_epoch");
-    ck.lr = store::read_field<float>(in, path, "lr");
-    ck.rng.state = store::read_field<std::uint64_t>(in, path, "rng_state");
+    ck.next_epoch = store::read_field<std::int32_t>(in, where, "next_epoch");
+    ck.lr = store::read_field<float>(in, where, "lr");
+    ck.rng.state = store::read_field<std::uint64_t>(in, where, "rng_state");
     ck.rng.have_cached_normal =
-        store::read_field<std::uint8_t>(in, path, "rng_cached_flag") != 0;
+        store::read_field<std::uint8_t>(in, where, "rng_cached_flag") != 0;
     ck.rng.cached_normal =
-        store::read_field<double>(in, path, "rng_cached_normal");
+        store::read_field<double>(in, where, "rng_cached_normal");
     // The counts are not reserved up front: the checksum does not bound
-    // them, and a count the file cannot hold must end in a truncated read.
+    // them, and a count the payload cannot hold must end in a truncated read.
     const auto order_n =
-        store::read_field<std::uint32_t>(in, path, "order_count");
+        store::read_field<std::uint32_t>(in, where, "order_count");
     for (std::uint32_t i = 0; i < order_n; ++i) {
-      ck.order.push_back(store::read_field<std::int32_t>(in, path, "order"));
+      ck.order.push_back(store::read_field<std::int32_t>(in, where, "order"));
     }
     // The order indexes the dataset, so it must hold exactly the current
-    // training split's samples. A checkpoint written for another split, say
-    // by a run over another number of vectors, is rejected here.
+    // training split's samples. The key already covers the split; this
+    // check keeps a payload decoded against another split from indexing
+    // past the dataset.
     std::vector<int> restored = ck.order;
     std::vector<int> expected = train_split;
     std::sort(restored.begin(), restored.end());
     std::sort(expected.begin(), expected.end());
     PDN_CHECK(restored == expected,
-              "training order in " + path +
+              "training order in " + where +
                   " is not a permutation of the current training split "
                   "(field 'order')");
     const auto loss_n =
-        store::read_field<std::uint32_t>(in, path, "loss_count");
+        store::read_field<std::uint32_t>(in, where, "loss_count");
     for (std::uint32_t i = 0; i < loss_n; ++i) {
       ck.train_loss.push_back(
-          store::read_field<double>(in, path, "train_loss"));
-      ck.val_loss.push_back(store::read_field<double>(in, path, "val_loss"));
+          store::read_field<double>(in, where, "train_loss"));
+      ck.val_loss.push_back(store::read_field<double>(in, where, "val_loss"));
     }
     // Weights and moments decode into scratch tensors and are committed only
     // once every field has verified, so a rejected checkpoint leaves the
@@ -118,29 +123,29 @@ bool load_train_checkpoint(const std::string& path,
     // checks reject a checkpoint from a different architecture.
     const std::vector<nn::Parameter*> params = model.parameters();
     std::vector<nn::Tensor> weights =
-        quant::read_weights(params, quant::ParamDtype::kF32, in, path);
-    const auto steps = store::read_field<std::int32_t>(in, path, "adam_t");
+        quant::read_weights(params, quant::ParamDtype::kF32, in, where);
+    const auto steps = store::read_field<std::int32_t>(in, where, "adam_t");
     PDN_CHECK(steps >= 0,
-              "negative step count in " + path + " (field 'adam_t')");
+              "negative step count in " + where + " (field 'adam_t')");
     const auto moment_n =
-        store::read_field<std::uint32_t>(in, path, "moment_count");
+        store::read_field<std::uint32_t>(in, where, "moment_count");
     const std::vector<nn::Tensor*> moments = optimizer.state_tensors();
     PDN_CHECK(moment_n == moments.size(),
-              "moment tensor count mismatch in " + path +
+              "moment tensor count mismatch in " + where +
                   " (field 'moment_count')");
     std::vector<nn::Tensor> moment_values;
     moment_values.reserve(moments.size());
     for (const nn::Tensor* t : moments) {
       const auto numel =
-          store::read_field<std::uint64_t>(in, path, "moment_numel");
+          store::read_field<std::uint64_t>(in, where, "moment_numel");
       PDN_CHECK(numel == static_cast<std::uint64_t>(t->numel()),
-                "moment tensor size mismatch in " + path +
+                "moment tensor size mismatch in " + where +
                     " (field 'moment_numel')");
       nn::Tensor m(t->shape());
       in.read(reinterpret_cast<char*>(m.data()),
               static_cast<std::streamsize>(m.numel() * sizeof(float)));
       PDN_CHECK(in.good(),
-                "truncated file " + path + " reading field 'moment_data'");
+                "truncated file " + where + " reading field 'moment_data'");
       moment_values.push_back(std::move(m));
     }
     for (std::size_t i = 0; i < params.size(); ++i) {
@@ -153,7 +158,7 @@ bool load_train_checkpoint(const std::string& path,
     *state = std::move(ck);
     return true;
   } catch (const util::CheckError& e) {
-    obs::logf("checkpoint: ignoring %s: %s", path.c_str(), e.what());
+    obs::logf("checkpoint: ignoring %s: %s", where.c_str(), e.what());
     return false;
   }
 }
@@ -184,14 +189,18 @@ TrainReport train_model(WorstCaseNoiseNet& model, const CompiledDataset& data,
 
   TrainReport report;
   int start_epoch = 0;
+  store::Store* const checkpoints = options.checkpoint_store;
+  PDN_CHECK(checkpoints != nullptr || !options.resume,
+            "train_model: resume needs a checkpoint store");
+  const std::uint64_t key = checkpoints != nullptr ? checkpoint_key(data) : 0;
   const bool checkpointing =
-      !options.checkpoint_path.empty() && options.checkpoint_every > 0;
+      checkpoints != nullptr && options.checkpoint_every > 0;
   if (options.resume) {
-    PDN_CHECK(!options.checkpoint_path.empty(),
-              "train_model: --resume needs a checkpoint path");
     TrainCheckpoint ck;
-    if (load_train_checkpoint(options.checkpoint_path, data.split.train,
-                              model, optimizer, &ck)) {
+    std::string payload;
+    if (checkpoints->get(key, &payload) &&
+        decode_train_checkpoint(payload, key, data.split.train, model,
+                                optimizer, &ck)) {
       // `order` is shuffled in place each epoch, so the restored vector —
       // not a fresh copy of the split — carries the cumulative permutation
       // the uninterrupted run would have at this epoch.
@@ -202,8 +211,8 @@ TrainReport train_model(WorstCaseNoiseNet& model, const CompiledDataset& data,
       report.train_loss = std::move(ck.train_loss);
       report.val_loss = std::move(ck.val_loss);
       if (options.verbose) {
-        obs::logf("  resuming from %s at epoch %d",
-                  options.checkpoint_path.c_str(), start_epoch + 1);
+        obs::logf("  resuming from checkpoint chunk %s at epoch %d",
+                  store::Store::key_hex(key).c_str(), start_epoch + 1);
       }
     }
   }
@@ -246,7 +255,7 @@ TrainReport train_model(WorstCaseNoiseNet& model, const CompiledDataset& data,
       ck.order = order;
       ck.train_loss = report.train_loss;
       ck.val_loss = report.val_loss;
-      save_train_checkpoint(options.checkpoint_path, model, optimizer, ck);
+      checkpoints->put(key, encode_train_checkpoint(model, optimizer, ck));
     }
   }
   report.seconds = timer.lap("train");

@@ -46,20 +46,6 @@ Var add(const Var& a, const Var& b) {
   });
 }
 
-Var sub(const Var& a, const Var& b) {
-  PDN_CHECK(a.value().same_shape(b.value()), "sub: shape mismatch");
-  Tensor out = a.value().clone();
-  out.add_scaled(b.value(), -1.0f);
-  return Var::from_op(out, {a.node(), b.node()}, [](Node& node) {
-    if (needs_grad(node.parents[0])) {
-      node.parents[0]->ensure_grad().add_scaled(node.grad, 1.0f);
-    }
-    if (needs_grad(node.parents[1])) {
-      node.parents[1]->ensure_grad().add_scaled(node.grad, -1.0f);
-    }
-  });
-}
-
 Var scale(const Var& x, float c) {
   Tensor out = x.value().clone();
   float* o = out.data();

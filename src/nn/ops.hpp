@@ -19,9 +19,6 @@ Var relu(const Var& x);
 /// Element-wise sum; shapes must match.
 Var add(const Var& a, const Var& b);
 
-/// Element-wise difference a - b.
-Var sub(const Var& a, const Var& b);
-
 /// x * c for a constant c.
 Var scale(const Var& x, float c);
 

@@ -18,13 +18,4 @@ const char* dtype_name(ParamDtype dtype) {
   return "";
 }
 
-ParamDtype parse_dtype(const std::string& name) {
-  if (name == "fp32") return ParamDtype::kF32;
-  if (name == "fp16") return ParamDtype::kF16;
-  if (name == "int8") return ParamDtype::kInt8;
-  PDN_CHECK(false, "unknown artifact dtype '" + name +
-                       "' (valid names: fp32|fp16|int8)");
-  return ParamDtype::kF32;
-}
-
 }  // namespace pdnn::quant

@@ -1,14 +1,13 @@
 // Parameter storage dtypes for versioned model artifacts (DESIGN.md §15).
 //
 // The shape of this plumbing follows LBANN's DType enum: one small closed
-// set of storage types, named stably for CLI flags and file headers. kF32 is
+// set of storage types, named stably for logs and file headers. kF32 is
 // the v1 PDNB container; kF16 and kInt8 are the v2 post-training-quantized
 // variants produced by src/quant. The numeric values are serialized into v2
 // headers — never reorder them.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace pdnn::quant {
 
@@ -20,10 +19,7 @@ enum class ParamDtype : std::uint32_t {
               ///< dequantized to fp32 at load
 };
 
-/// Stable lowercase name ("fp32", "fp16", "int8") for logs and flags.
+/// Stable lowercase name ("fp32", "fp16", "int8") for logs and reports.
 const char* dtype_name(ParamDtype dtype);
-
-/// Parse a dtype name; throws util::CheckError naming the valid set.
-ParamDtype parse_dtype(const std::string& name);
 
 }  // namespace pdnn::quant

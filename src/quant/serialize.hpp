@@ -1,5 +1,5 @@
-// The one weight-block codec: PDNB artifacts and PDNT training checkpoints
-// store their parameters through it (DESIGN.md §10, §11, §15).
+// The one weight-block codec: PDNB artifacts and training-checkpoint chunk
+// payloads store their parameters through it (DESIGN.md §10, §11, §15).
 //
 // Every block has one record layout; the dtype picks the magic and the
 // payload:

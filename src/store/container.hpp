@@ -1,13 +1,15 @@
 // Shared conventions for the repository's binary containers (PDNB model
-// artifacts, PDNC store chunks, PDNT training checkpoints).
+// artifacts and PDNC store chunks) and the payloads inside chunks (golden
+// raw samples and training checkpoints).
 //
 // Every container is little-endian with a fixed field order: a 4-byte magic,
 // a u32 version, then typed fields. These helpers centralize the two rules
 // the formats share — every read is checked, and a failure names the file
-// and the exact field — so a truncated or tampered container always produces
-// a diagnosable util::CheckError instead of garbage data. The weight blocks
-// inside PDNB and PDNT (a magic and a count, no version) are coded by one
-// codec on top of these helpers, quant/serialize.
+// or chunk and the exact field — so a truncated or tampered container always
+// produces a diagnosable util::CheckError instead of garbage data. The
+// weight blocks inside PDNB artifacts and checkpoint payloads (a magic and a
+// count, no version) are coded by one codec on top of these helpers,
+// quant/serialize.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -19,14 +18,12 @@ namespace {
 
 constexpr char kChunkMagic[5] = "PDNC";
 constexpr std::uint32_t kChunkVersion = 1;
-constexpr const char* kManifestHeader = "# pdnn-store v1";
 
 }  // namespace
 
 Store::Store(std::string directory) : dir_(std::move(directory)) {
   PDN_CHECK(!dir_.empty(), "Store: empty directory");
   util::ensure_directory(dir_);
-  load_manifest();
 }
 
 std::string Store::key_hex(std::uint64_t key) {
@@ -39,48 +36,6 @@ std::string Store::chunk_path(std::uint64_t key) const {
   return dir_ + "/" + key_hex(key) + ".pdnc";
 }
 
-std::string Store::manifest_path() const { return dir_ + "/manifest.tsv"; }
-
-void Store::load_manifest() {
-  std::ifstream in(manifest_path());
-  if (!in.good()) return;  // fresh store: no manifest yet
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line.front() == '#') continue;
-    std::uint64_t key = 0, size = 0, checksum = 0;
-    if (std::sscanf(line.c_str(),
-                    "%" SCNx64 "\t%" SCNu64 "\t%" SCNx64, &key, &size,
-                    &checksum) == 3) {
-      manifest_[key] = Entry{size, checksum};  // later lines win (re-puts)
-    } else {
-      obs::logf("store: skipping malformed manifest line in %s: %s",
-                manifest_path().c_str(), line.c_str());
-    }
-  }
-}
-
-void Store::append_manifest_line(std::uint64_t key, const Entry& entry) {
-  const bool fresh = !util::file_exists(manifest_path());
-  std::ofstream out(manifest_path(), std::ios::app);
-  if (!out.good()) {
-    obs::logf("store: cannot append manifest %s", manifest_path().c_str());
-    return;  // chunks are self-describing; the index is best-effort
-  }
-  if (fresh) out << kManifestHeader << '\n';
-  out << key_hex(key) << '\t' << entry.size << '\t'
-      << key_hex(entry.checksum) << '\n';
-}
-
-void Store::rewrite_manifest_locked() {
-  std::ostringstream out;
-  out << kManifestHeader << '\n';
-  for (const auto& [key, entry] : manifest_) {
-    out << key_hex(key) << '\t' << entry.size << '\t'
-        << key_hex(entry.checksum) << '\n';
-  }
-  util::write_file_atomic(manifest_path(), out.str());
-}
-
 void Store::evict(std::uint64_t key, const std::string& reason) {
   obs::logf("store: evicting chunk %s: %s", key_hex(key).c_str(),
             reason.c_str());
@@ -88,22 +43,22 @@ void Store::evict(std::uint64_t key, const std::string& reason) {
   const std::lock_guard<std::mutex> lock(mu_);
   ++stats_.evicts;
   obs::counter_add(obs::Counter::kStoreEvicts, 1);
-  if (manifest_.erase(key) > 0) rewrite_manifest_locked();
+}
+
+void Store::count_miss() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.misses;
+  obs::counter_add(obs::Counter::kStoreMisses, 1);
 }
 
 bool Store::get(std::uint64_t key, std::string* payload) {
   PDN_CHECK(payload != nullptr, "Store::get: null payload output");
   obs::TraceSpan span("store.lookup");
   const std::string path = chunk_path(key);
-  const bool indexed = contains(key);
 
   std::string chunk;
   if (!util::read_file(path, &chunk)) {
-    // Not an integrity failure unless the manifest promised the chunk.
-    if (indexed) evict(key, "chunk file missing or unreadable");
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    obs::counter_add(obs::Counter::kStoreMisses, 1);
+    count_miss();  // never written, or already evicted
     return false;
   }
 
@@ -127,9 +82,7 @@ bool Store::get(std::uint64_t key, std::string* payload) {
     payload->assign(chunk, offset, size);
   } catch (const util::CheckError& e) {
     evict(key, e.what());
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    obs::counter_add(obs::Counter::kStoreMisses, 1);
+    count_miss();
     return false;
   }
 
@@ -138,13 +91,6 @@ bool Store::get(std::uint64_t key, std::string* payload) {
   obs::counter_add(obs::Counter::kStoreHits, 1);
   obs::hist_record(obs::Hist::kStoreChunkBytes,
                    static_cast<std::int64_t>(payload->size()));
-  if (!indexed) {
-    // Chunk present but unindexed (lost manifest): self-heal the index.
-    const Entry entry{payload->size(),
-                      util::fnv1a64(payload->data(), payload->size())};
-    manifest_[key] = entry;
-    append_manifest_line(key, entry);
-  }
   return true;
 }
 
@@ -155,9 +101,7 @@ void Store::put(std::uint64_t key, const std::string& payload) {
   write_field(chunk, kChunkVersion);
   write_field(chunk, key);
   write_field(chunk, static_cast<std::uint64_t>(payload.size()));
-  const std::uint64_t checksum =
-      util::fnv1a64(payload.data(), payload.size());
-  write_field(chunk, checksum);
+  write_field(chunk, util::fnv1a64(payload.data(), payload.size()));
   chunk.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 
   // The file write happens under the lock so two threads putting the same
@@ -165,8 +109,6 @@ void Store::put(std::uint64_t key, const std::string& payload) {
   // common case and simulation dominates them by orders of magnitude.
   const std::lock_guard<std::mutex> lock(mu_);
   util::write_file_atomic(chunk_path(key), chunk.str());
-  manifest_[key] = Entry{payload.size(), checksum};
-  append_manifest_line(key, manifest_[key]);
   ++stats_.writes;
   obs::counter_add(obs::Counter::kStoreWrites, 1);
   obs::hist_record(obs::Hist::kStoreChunkBytes,
@@ -178,10 +120,10 @@ std::uint64_t Store::put_file(const std::string& path) {
   PDN_CHECK(util::read_file(path, &payload),
             "Store::put_file: cannot read " + path);
   const std::uint64_t key = util::fnv1a64(payload.data(), payload.size());
-  // The key IS the content digest, so an indexed key already holds these
-  // bytes; a corrupt chunk degrades to a get_file miss and the caller
-  // re-publishes.
-  if (!contains(key)) put(key, payload);
+  // The key IS the content digest, so an existing chunk already holds these
+  // bytes; a corrupt chunk degrades to a get_file miss (which evicts it) and
+  // the caller re-publishes.
+  if (!util::file_exists(chunk_path(key))) put(key, payload);
   return key;
 }
 
@@ -190,16 +132,6 @@ bool Store::get_file(std::uint64_t key, const std::string& dest_path) {
   if (!get(key, &payload)) return false;
   util::write_file_atomic(dest_path, payload);
   return true;
-}
-
-bool Store::contains(std::uint64_t key) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return manifest_.count(key) > 0;
-}
-
-std::size_t Store::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return manifest_.size();
 }
 
 StoreStats Store::stats() const {

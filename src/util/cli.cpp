@@ -66,11 +66,22 @@ double ArgParser::get_double(const std::string& name) const {
   return parse_number<double>("flag --" + name, get(name), "a finite number");
 }
 
+std::vector<std::string> ArgParser::get_list(const std::string& name) const {
+  const std::string& text = get(name);
+  std::vector<std::string> items;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = text.find(',', begin);
+    items.push_back(text.substr(begin, comma - begin));
+    PDN_CHECK(!items.back().empty(),
+              "flag --" + name + ": '" + text + "' has an empty item");
+    if (comma == std::string::npos) return items;
+    begin = comma + 1;
+  }
+}
+
 std::vector<double> ArgParser::get_double_list(const std::string& name) const {
   std::vector<double> values;
-  std::stringstream ss(get(name));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  for (const std::string& item : get_list(name)) {
     values.push_back(
         parse_number<double>("flag --" + name, item, "a finite number"));
   }

@@ -58,8 +58,11 @@ class ArgParser {
   /// flag and its text.
   int get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
-  /// Comma-separated list of doubles ("0.1,0.2"), each item checked like
-  /// get_double().
+  /// Comma-separated list of strings ("D1,D2"). An empty item — an empty
+  /// value, a doubled comma, or a leading or trailing comma — throws a
+  /// CheckError naming the flag and its text.
+  std::vector<std::string> get_list(const std::string& name) const;
+  /// get_list() with each item checked like get_double().
   std::vector<double> get_double_list(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

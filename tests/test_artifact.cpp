@@ -232,9 +232,9 @@ std::uint64_t file_digest(const std::string& path) {
 }
 
 // Pins the bytes of every container the repository writes: a v1 fp32 PDNB,
-// a v2 fp16 and a v2 int8 PDNB (with a non-empty PDNA table) and a PDNT
-// training checkpoint. A change to any writer that moves one byte fails
-// here, whatever the reader makes of it.
+// a v2 fp16 and a v2 int8 PDNB (with a non-empty PDNA table) and a training
+// checkpoint payload (the store wraps it in a PDNC chunk). A change to any
+// writer that moves one byte fails here, whatever the reader makes of it.
 TEST(Artifact, ContainerBytesArePinned) {
   ModelConfig cfg;
   cfg.distance_channels = 3;
@@ -284,9 +284,11 @@ TEST(Artifact, ContainerBytesArePinned) {
   state.order = {2, 0, 1};
   state.train_loss = {1.5, 0.75};
   state.val_loss = {2.25, 1.125};
-  TempFile ckpt("pinned.pdnt");
-  core::save_train_checkpoint(ckpt.path, model, optimizer, state);
-  EXPECT_EQ(file_digest(ckpt.path), 0x3b6a0992384c0306ull) << "PDNT checkpoint";
+  const std::string payload =
+      core::encode_train_checkpoint(model, optimizer, state);
+  EXPECT_EQ(util::fnv1a64(payload.data(), payload.size()),
+            0xc2d1b1b488a8a1f9ull)
+      << "checkpoint payload";
 }
 
 TEST(Artifact, DefaultTemporalOptionsRoundTrip) {

@@ -97,14 +97,5 @@ TEST(Features, TensorToMapRejectsBatchedInput) {
                util::CheckError);
 }
 
-TEST(Features, CurrentScaleFindsGlobalMax) {
-  util::MapF a(1, 2);
-  a(0, 1) = 3.0f;
-  util::MapF b(1, 2);
-  b(0, 0) = 7.0f;
-  EXPECT_FLOAT_EQ(core::current_scale_for({{a}, {b}}), 7.0f);
-  EXPECT_GT(core::current_scale_for({}), 0.0f);  // clamped away from zero
-}
-
 }  // namespace
 }  // namespace pdnn

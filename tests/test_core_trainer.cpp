@@ -1,8 +1,9 @@
 // Trainer tests: loss decreases, overfitting a single sample works, the
 // evaluation helper is consistent, interrupted training resumes to
-// bit-identical weights from a "PDNT" checkpoint, a rejected checkpoint
-// leaves the model and optimizer untouched, and the bits of training and of
-// prediction are pinned by digest.
+// bit-identical weights from a checkpoint chunk in a run store, a run over
+// other data cannot find that chunk, a rejected checkpoint leaves the model
+// and optimizer untouched, and the bits of training and of prediction are
+// pinned by digest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,8 @@
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
+#include "store/store.hpp"
 #include "util/hash.hpp"
-#include "util/io.hpp"
 #include "util/rng.hpp"
 
 namespace pdnn {
@@ -112,11 +113,11 @@ TEST(Trainer, RejectsEmptyTrainSet) {
   EXPECT_THROW(core::train_model(model, empty, {}), util::CheckError);
 }
 
-std::string fresh_checkpoint(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/pdnn_ckpt_" + name;
+// Directory of an empty run store for one test's checkpoints.
+std::string fresh_store_dir(const std::string& name) {
+  const std::string dir = testing::TempDir() + "/pdnn_checkpoint_" + name;
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir + "/ckpt.pdnt";
+  return dir;
 }
 
 void expect_weights_bit_equal(core::WorstCaseNoiseNet& a,
@@ -149,17 +150,18 @@ TEST(Trainer, ResumeReachesBitIdenticalWeights) {
 
   // Run B: stop after 3 epochs (checkpointing), then resume a *fresh* model
   // to the full budget.
-  const std::string path = fresh_checkpoint("resume");
+  store::Store ckpts(fresh_store_dir("resume"));
   core::TrainOptions first = base;
   first.epochs = 3;
-  first.checkpoint_path = path;
+  first.checkpoint_store = &ckpts;
   first.checkpoint_every = 2;  // epochs 2 and 3 (final always checkpoints)
   core::WorstCaseNoiseNet interrupted(f.config());
   core::train_model(interrupted, f.data, first);
-  ASSERT_TRUE(std::filesystem::exists(path));
+  ASSERT_TRUE(std::filesystem::exists(
+      ckpts.chunk_path(core::checkpoint_key(f.data))));
 
   core::TrainOptions second = base;
-  second.checkpoint_path = path;
+  second.checkpoint_store = &ckpts;
   second.checkpoint_every = 2;
   second.resume = true;
   core::WorstCaseNoiseNet resumed(f.config());
@@ -179,7 +181,8 @@ TEST(Trainer, ResumeAtFullBudgetIsANoOpForWeights) {
   core::TrainOptions opt;
   opt.epochs = 4;
   opt.lr = 1e-3f;
-  opt.checkpoint_path = fresh_checkpoint("noop");
+  store::Store ckpts(fresh_store_dir("noop"));
+  opt.checkpoint_store = &ckpts;
   opt.checkpoint_every = 4;
   core::WorstCaseNoiseNet model(f.config());
   core::train_model(model, f.data, opt);
@@ -195,30 +198,33 @@ TEST(Trainer, ResumeAtFullBudgetIsANoOpForWeights) {
 
 TEST(Trainer, CorruptCheckpointFallsBackToFreshStart) {
   Fixture f(6);
-  const std::string path = fresh_checkpoint("corrupt");
+  store::Store ckpts(fresh_store_dir("corrupt"));
   core::TrainOptions opt;
   opt.epochs = 3;
   opt.lr = 1e-3f;
-  opt.checkpoint_path = path;
+  opt.checkpoint_store = &ckpts;
   opt.checkpoint_every = 1;
   core::WorstCaseNoiseNet model(f.config());
   core::train_model(model, f.data, opt);
 
   {
-    std::fstream fs(path, std::ios::in | std::ios::out | std::ios::binary);
+    // Flip a payload byte, past the chunk's 32-byte header.
+    std::fstream fs(ckpts.chunk_path(core::checkpoint_key(f.data)),
+                    std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(fs.good());
-    fs.seekg(20);
+    fs.seekg(36);
     const int byte = fs.get();
-    fs.seekp(20);
+    fs.seekp(36);
     fs.put(static_cast<char>(byte ^ 0xFF));
   }
 
-  // The damaged file is rejected (named log, no throw) and training runs
+  // The damaged chunk is evicted (named log, no throw) and training runs
   // from scratch — identical to a never-checkpointed run.
   opt.resume = true;
   core::WorstCaseNoiseNet recovered(f.config());
   const auto report = core::train_model(recovered, f.data, opt);
   EXPECT_EQ(report.train_loss.size(), 3u);
+  EXPECT_EQ(ckpts.stats().evicts, 1);
 
   core::TrainOptions plain;
   plain.epochs = 3;
@@ -228,10 +234,10 @@ TEST(Trainer, CorruptCheckpointFallsBackToFreshStart) {
   expect_weights_bit_equal(recovered, fresh);
 }
 
-// A checkpoint with a valid checksum that fails a later field must leave the
-// model and the optimizer exactly as they were, so training starts fresh.
-// Models built from one config start bit-identical, so each rejected load is
-// compared against a twin that never saw the file.
+// A checkpoint payload that verified in the store but fails a later field
+// must leave the model and the optimizer exactly as they were, so training
+// starts fresh. Models built from one config start bit-identical, so each
+// rejected decode is compared against a twin that never saw the payload.
 TEST(Trainer, RejectedCheckpointLeavesModelUntouched) {
   Fixture f(4);
   core::ModelConfig wide = f.config();
@@ -244,19 +250,20 @@ TEST(Trainer, RejectedCheckpointLeavesModelUntouched) {
   core::TrainCheckpoint written;
   written.next_epoch = 1;
   written.order = {0};
-  const std::string path = fresh_checkpoint("rejected");
-  core::save_train_checkpoint(path, saved, saved_optimizer, written);
+  const std::string payload =
+      core::encode_train_checkpoint(saved, saved_optimizer, written);
+  const std::uint64_t key = core::checkpoint_key(f.data);
 
-  // The distance and fusion subnets match and come first in the file; the
-  // prediction subnet (c3 = 8 against 16) does not.
+  // The distance and fusion subnets match and come first in the payload;
+  // the prediction subnet (c3 = 8 against 16) does not.
   core::ModelConfig narrow = f.config();
   narrow.c3 = 8;
   core::WorstCaseNoiseNet model(narrow);
   core::WorstCaseNoiseNet pristine(narrow);
   nn::Adam optimizer(model.parameters());
   core::TrainCheckpoint ck;
-  EXPECT_FALSE(
-      core::load_train_checkpoint(path, {0}, model, optimizer, &ck));
+  EXPECT_FALSE(core::decode_train_checkpoint(payload, key, {0}, model,
+                                             optimizer, &ck));
   expect_weights_bit_equal(model, pristine);
   EXPECT_EQ(optimizer.steps_taken(), 0);
   EXPECT_TRUE(ck.order.empty());
@@ -270,7 +277,8 @@ TEST(Trainer, RejectedCheckpointLeavesModelUntouched) {
   std::vector<nn::Parameter*> all_but_last = twin.parameters();
   all_but_last.pop_back();
   nn::Adam partial(all_but_last);
-  EXPECT_FALSE(core::load_train_checkpoint(path, {0}, twin, partial, &ck));
+  EXPECT_FALSE(
+      core::decode_train_checkpoint(payload, key, {0}, twin, partial, &ck));
   expect_weights_bit_equal(twin, twin_pristine);
   EXPECT_EQ(partial.steps_taken(), 0);
   for (const nn::Tensor* t : partial.state_tensors()) {
@@ -280,8 +288,8 @@ TEST(Trainer, RejectedCheckpointLeavesModelUntouched) {
   }
 }
 
-// A count that the checksum covers but the file cannot hold must end in a
-// rejection, not in an allocation of the declared size.
+// A count that the chunk checksum covers but the payload cannot hold must
+// end in a rejection, not in an allocation of the declared size.
 TEST(Trainer, CheckpointCountBeyondFileIsRejected) {
   core::ModelConfig config;
   config.distance_channels = 2;
@@ -291,38 +299,33 @@ TEST(Trainer, CheckpointCountBeyondFileIsRejected) {
   nn::Adam optimizer(model.parameters());
   core::TrainCheckpoint written;
   written.order = {1, 0};
-  const std::string path = fresh_checkpoint("huge_count");
-  core::save_train_checkpoint(path, model, optimizer, written);
+  std::string payload =
+      core::encode_train_checkpoint(model, optimizer, written);
 
-  // order_count follows magic, version and checksum (16 bytes) and
-  // next_epoch, lr, the RNG state, its cached flag and cached normal (25).
-  std::string bytes;
-  ASSERT_TRUE(util::read_file(path, &bytes));
+  // order_count follows next_epoch, lr, the RNG state, its cached flag and
+  // cached normal (25 bytes).
   const std::uint32_t huge = 0xffffffffu;
-  std::memcpy(&bytes[41], &huge, sizeof(huge));
-  const std::uint64_t checksum =
-      util::fnv1a64(bytes.data() + 16, bytes.size() - 16);
-  std::memcpy(&bytes[8], &checksum, sizeof(checksum));
-  util::write_file_atomic(path, bytes);
+  std::memcpy(&payload[25], &huge, sizeof(huge));
 
   core::TrainCheckpoint ck;
-  EXPECT_FALSE(
-      core::load_train_checkpoint(path, {0, 1}, model, optimizer, &ck));
+  EXPECT_FALSE(core::decode_train_checkpoint(payload, 0x5eed, {0, 1}, model,
+                                             optimizer, &ck));
 }
 
-// A checkpoint's training order indexes the split it was written for. Resumed
-// onto another split it must be rejected before the model or the optimizer
-// sees it, and training must start fresh: the weights equal those of a run
-// that never saw the checkpoint.
+// A checkpoint's training order indexes the split it was written for. The
+// key covers the split, so a run over another split finds no checkpoint and
+// trains fresh: the weights equal those of a run that never saw one.
 void expect_resume_onto_other_split_trains_fresh(
     const Fixture& f, const std::vector<int>& checkpoint_split,
     const std::string& name) {
   core::CompiledDataset other = f.data;
   other.split.train = checkpoint_split;
+  EXPECT_NE(core::checkpoint_key(other), core::checkpoint_key(f.data));
+  store::Store ckpts(fresh_store_dir(name));
   core::TrainOptions opt;
   opt.epochs = 2;
   opt.lr = 1e-3f;
-  opt.checkpoint_path = fresh_checkpoint(name);
+  opt.checkpoint_store = &ckpts;
   opt.checkpoint_every = 1;
   core::WorstCaseNoiseNet first(f.config());
   core::train_model(first, other, opt);
@@ -341,30 +344,134 @@ void expect_resume_onto_other_split_trains_fresh(
   expect_weights_bit_equal(resumed, fresh);
 }
 
+// The decoder's own guard: a payload whose order is not a permutation of the
+// split it is decoded against is rejected before the model or the optimizer
+// sees it, and the same payload decodes against its own split.
+void expect_decode_onto_other_split_rejected(
+    const Fixture& f, const std::vector<int>& checkpoint_split) {
+  core::ModelConfig saved_config = f.config();
+  saved_config.init_seed = 9;
+  core::WorstCaseNoiseNet saved(saved_config);
+  nn::Adam saved_optimizer(saved.parameters());
+  saved_optimizer.set_steps_taken(2);
+  core::TrainCheckpoint written;
+  written.next_epoch = 2;
+  written.order = checkpoint_split;
+  const std::string payload =
+      core::encode_train_checkpoint(saved, saved_optimizer, written);
+  const std::uint64_t key = core::checkpoint_key(f.data);
+
+  core::WorstCaseNoiseNet model(f.config());
+  core::WorstCaseNoiseNet pristine(f.config());
+  nn::Adam optimizer(model.parameters());
+  core::TrainCheckpoint ck;
+  EXPECT_FALSE(core::decode_train_checkpoint(payload, key, f.data.split.train,
+                                             model, optimizer, &ck));
+  expect_weights_bit_equal(model, pristine);
+  EXPECT_EQ(optimizer.steps_taken(), 0);
+  EXPECT_TRUE(ck.order.empty());
+
+  EXPECT_TRUE(core::decode_train_checkpoint(payload, key, checkpoint_split,
+                                            model, optimizer, &ck));
+  expect_weights_bit_equal(model, saved);
+  EXPECT_EQ(optimizer.steps_taken(), 2);
+}
+
+std::vector<int> shorter_split(const Fixture& f) {
+  std::vector<int> shorter = f.data.split.train;
+  EXPECT_GT(shorter.size(), 1u);
+  shorter.pop_back();
+  return shorter;
+}
+
+// Same length as the training split, but one index is a validation sample.
+std::vector<int> split_with_foreign_index(const Fixture& f) {
+  EXPECT_FALSE(f.data.split.val.empty());
+  std::vector<int> foreign = f.data.split.train;
+  foreign.back() = f.data.split.val.front();
+  return foreign;
+}
+
 TEST(Trainer, ResumeOntoSplitOfOtherLengthTrainsFresh) {
   Fixture f(8);
-  std::vector<int> shorter = f.data.split.train;
-  ASSERT_GT(shorter.size(), 1u);
-  shorter.pop_back();
-  expect_resume_onto_other_split_trains_fresh(f, shorter, "other_length");
+  expect_resume_onto_other_split_trains_fresh(f, shorter_split(f),
+                                              "other_length");
+}
+
+TEST(Trainer, DecodeOntoSplitOfOtherLengthIsRejected) {
+  Fixture f(8);
+  expect_decode_onto_other_split_rejected(f, shorter_split(f));
 }
 
 TEST(Trainer, ResumeOntoSplitWithForeignIndexTrainsFresh) {
-  // Same length, but one index is a validation sample of the current split.
   Fixture f(8);
-  ASSERT_FALSE(f.data.split.val.empty());
-  std::vector<int> foreign = f.data.split.train;
-  foreign.back() = f.data.split.val.front();
-  expect_resume_onto_other_split_trains_fresh(f, foreign, "foreign_index");
+  expect_resume_onto_other_split_trains_fresh(f, split_with_foreign_index(f),
+                                              "foreign_index");
 }
 
+TEST(Trainer, DecodeOntoSplitWithForeignIndexIsRejected) {
+  Fixture f(8);
+  expect_decode_onto_other_split_rejected(f, split_with_foreign_index(f));
+}
+
+// A store without a checkpoint for this data is a plain miss: a resume
+// trains fresh.
 TEST(Trainer, LoadCheckpointRejectsMissingFile) {
   Fixture f(4);
-  core::WorstCaseNoiseNet model(f.config());
-  nn::Adam optimizer(model.parameters());
-  core::TrainCheckpoint ck;
-  EXPECT_FALSE(core::load_train_checkpoint(
-      fresh_checkpoint("absent"), f.data.split.train, model, optimizer, &ck));
+  store::Store ckpts(fresh_store_dir("absent"));
+  core::TrainOptions opt;
+  opt.epochs = 2;
+  opt.lr = 1e-3f;
+  opt.checkpoint_store = &ckpts;
+  opt.resume = true;
+  core::WorstCaseNoiseNet resumed(f.config());
+  core::train_model(resumed, f.data, opt);
+  EXPECT_EQ(ckpts.stats().misses, 1);
+  EXPECT_EQ(ckpts.stats().evicts, 0);
+
+  core::TrainOptions plain;
+  plain.epochs = 2;
+  plain.lr = 1e-3f;
+  core::WorstCaseNoiseNet fresh(f.config());
+  core::train_model(fresh, f.data, plain);
+  expect_weights_bit_equal(resumed, fresh);
+}
+
+// The key follows what the run trains on — the distance tensor, each
+// sample's currents and target, the train and val lists — and nothing else:
+// the test list is not trained on. Tensor copies share storage, so each
+// edited tensor is a clone.
+TEST(Trainer, CheckpointKeyTracksWhatTheRunTrainsOn) {
+  Fixture f(6);
+  const std::uint64_t base = core::checkpoint_key(f.data);
+  EXPECT_EQ(core::checkpoint_key(f.data), base);
+
+  const auto bumped = [](const nn::Tensor& t) {
+    nn::Tensor out = t.clone();
+    out.data()[0] += 1.0f;
+    return out;
+  };
+  core::CompiledDataset d = f.data;
+  d.distance = bumped(f.data.distance);
+  EXPECT_NE(core::checkpoint_key(d), base);
+  d = f.data;
+  d.samples.back().currents = bumped(f.data.samples.back().currents);
+  EXPECT_NE(core::checkpoint_key(d), base);
+  d = f.data;
+  d.samples.front().target = bumped(f.data.samples.front().target);
+  EXPECT_NE(core::checkpoint_key(d), base);
+  d = f.data;
+  std::swap(d.split.train.front(), d.split.train.back());
+  EXPECT_NE(core::checkpoint_key(d), base);
+  d = f.data;
+  d.split.val.push_back(0);
+  EXPECT_NE(core::checkpoint_key(d), base);
+  d = f.data;
+  d.samples.pop_back();
+  EXPECT_NE(core::checkpoint_key(d), base);
+  d = f.data;
+  d.split.test.clear();
+  EXPECT_EQ(core::checkpoint_key(d), base);
 }
 
 // Fills `t` with uniform() draws centred on zero. uniform() scales a 53-bit

@@ -175,13 +175,6 @@ TEST(QuantQuantize, DtypeNamesRoundTrip) {
   EXPECT_STREQ("fp32", quant::dtype_name(quant::ParamDtype::kF32));
   EXPECT_STREQ("fp16", quant::dtype_name(quant::ParamDtype::kF16));
   EXPECT_STREQ("int8", quant::dtype_name(quant::ParamDtype::kInt8));
-  EXPECT_EQ(quant::ParamDtype::kInt8, quant::parse_dtype("int8"));
-  try {
-    quant::parse_dtype("bf16");
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("fp32|fp16|int8"), std::string::npos);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-// Persistent run-store tests: round trips, manifest persistence, the
+// Persistent run-store tests: round trips, chunks surviving a reopen, the
 // corruption-degrades-to-miss contract, and concurrent warm reads (the
-// `Store` suite runs under TSan in CI).
+// `Store` suite runs under TSan in CI). The chunk files are the store's only
+// index, so presence and counts are read from the directory.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -36,12 +37,26 @@ void truncate_file(const std::string& path, std::uintmax_t keep) {
   std::filesystem::resize_file(path, keep);
 }
 
+bool has_chunk(const store::Store& s, std::uint64_t key) {
+  return std::filesystem::exists(s.chunk_path(key));
+}
+
+// Number of chunk files (`*.pdnc`) in the store's directory.
+std::size_t chunk_count(const store::Store& s) {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(s.directory())) {
+    if (entry.path().extension() == ".pdnc") ++n;
+  }
+  return n;
+}
+
 TEST(Store, PutGetRoundTrip) {
   store::Store s(fresh_dir("roundtrip"));
   const std::string payload("golden sample bytes \x00\x01\x02", 23);
   s.put(42, payload);
-  EXPECT_TRUE(s.contains(42));
-  EXPECT_EQ(s.size(), 1u);
+  EXPECT_TRUE(has_chunk(s, 42));
+  EXPECT_EQ(chunk_count(s), 1u);
 
   std::string out;
   ASSERT_TRUE(s.get(42, &out));
@@ -59,20 +74,27 @@ TEST(Store, MissingKeyIsMissNotEviction) {
   EXPECT_FALSE(s.get(7, &out));
   const store::StoreStats st = s.stats();
   EXPECT_EQ(st.misses, 1);
-  EXPECT_EQ(st.evicts, 0);  // nothing was promised, nothing is dropped
+  EXPECT_EQ(st.evicts, 0);  // no chunk file: a plain miss, nothing dropped
+
+  // A chunk file deleted behind the store's back is the same plain miss.
+  s.put(8, "gone");
+  util::remove_file(s.chunk_path(8));
+  EXPECT_FALSE(s.get(8, &out));
+  EXPECT_EQ(s.stats().misses, 2);
+  EXPECT_EQ(s.stats().evicts, 0);
 }
 
 TEST(Store, RePutOverwrites) {
   store::Store s(fresh_dir("reput"));
   s.put(5, "old");
   s.put(5, "new");
-  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(chunk_count(s), 1u);
   std::string out;
   ASSERT_TRUE(s.get(5, &out));
   EXPECT_EQ(out, "new");
 }
 
-TEST(Store, ReopenLoadsManifest) {
+TEST(Store, ReopenServesEarlierChunks) {
   const std::string dir = fresh_dir("reopen");
   {
     store::Store s(dir);
@@ -80,8 +102,8 @@ TEST(Store, ReopenLoadsManifest) {
     s.put(2, "two");
   }
   store::Store reopened(dir);
-  EXPECT_EQ(reopened.size(), 2u);
-  EXPECT_TRUE(reopened.contains(1));
+  EXPECT_EQ(chunk_count(reopened), 2u);
+  EXPECT_TRUE(has_chunk(reopened, 1));
   std::string out;
   ASSERT_TRUE(reopened.get(2, &out));
   EXPECT_EQ(out, "two");
@@ -99,8 +121,7 @@ TEST(Store, TruncatedChunkDegradesToMiss) {
   EXPECT_EQ(st.evicts, 1);
   // The corrupt chunk is gone and the key is recomputable: a re-put then
   // hits again.
-  EXPECT_FALSE(std::filesystem::exists(s.chunk_path(9)));
-  EXPECT_FALSE(s.contains(9));
+  EXPECT_FALSE(has_chunk(s, 9));
   s.put(9, "fresh");
   ASSERT_TRUE(s.get(9, &out));
   EXPECT_EQ(out, "fresh");
@@ -140,54 +161,6 @@ TEST(Store, MisKeyedChunkDegradesToMiss) {
   // The original chunk is untouched.
   ASSERT_TRUE(s.get(21, &out));
   EXPECT_EQ(out, "payload for 21");
-}
-
-TEST(Store, IndexedButMissingChunkEvicts) {
-  store::Store s(fresh_dir("vanished"));
-  s.put(31, "data");
-  util::remove_file(s.chunk_path(31));
-
-  std::string out;
-  EXPECT_FALSE(s.get(31, &out));
-  const store::StoreStats st = s.stats();
-  EXPECT_EQ(st.misses, 1);
-  EXPECT_EQ(st.evicts, 1);
-  EXPECT_FALSE(s.contains(31));
-}
-
-TEST(Store, SelfHealsLostManifest) {
-  const std::string dir = fresh_dir("heal");
-  {
-    store::Store s(dir);
-    s.put(17, "survivor");
-  }
-  std::filesystem::remove(dir + "/manifest.tsv");
-
-  store::Store s(dir);
-  EXPECT_EQ(s.size(), 0u);  // index lost...
-  std::string out;
-  ASSERT_TRUE(s.get(17, &out));  // ...but the self-describing chunk hits
-  EXPECT_EQ(out, "survivor");
-  EXPECT_TRUE(s.contains(17));  // and the index is rebuilt
-  // The healed manifest survives another reopen.
-  store::Store again(dir);
-  EXPECT_TRUE(again.contains(17));
-}
-
-TEST(Store, MalformedManifestLinesAreSkipped) {
-  const std::string dir = fresh_dir("malformed");
-  {
-    store::Store s(dir);
-    s.put(3, "three");
-  }
-  {
-    std::ofstream out(dir + "/manifest.tsv", std::ios::app);
-    out << "not a manifest line\n";
-  }
-  store::Store s(dir);
-  EXPECT_EQ(s.size(), 1u);
-  std::string out;
-  EXPECT_TRUE(s.get(3, &out));
 }
 
 TEST(Store, KeyHexIsZeroPadded) {
@@ -239,7 +212,7 @@ TEST(Store, ConcurrentDistinctKeyWrites) {
     });
   }
   for (std::thread& th : writers) th.join();
-  EXPECT_EQ(s.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  EXPECT_EQ(chunk_count(s), static_cast<std::size_t>(kThreads * kPerThread));
   std::string out;
   for (int k = 0; k < kThreads * kPerThread; ++k) {
     ASSERT_TRUE(s.get(static_cast<std::uint64_t>(k), &out));
@@ -254,11 +227,11 @@ TEST(Store, PutFileIsContentAddressedAndDedupes) {
   util::write_file_atomic(src, payload);
 
   const std::uint64_t key = s.put_file(src);
-  EXPECT_TRUE(s.contains(key));
-  EXPECT_EQ(s.size(), 1u);
+  EXPECT_TRUE(has_chunk(s, key));
+  EXPECT_EQ(chunk_count(s), 1u);
   // Same bytes → same key, no second chunk, no second write.
   EXPECT_EQ(s.put_file(src), key);
-  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(chunk_count(s), 1u);
   EXPECT_EQ(s.stats().writes, 1);
 
   const std::string dest = testing::TempDir() + "/pdnn_store_dest.bin";
@@ -308,7 +281,7 @@ TEST(Store, GetFilePartialChunkWriteDegradesToMissAndRepublishHeals) {
   EXPECT_FALSE(s.get_file(key, dest));
   EXPECT_FALSE(util::file_exists(dest));
   EXPECT_EQ(s.stats().evicts, 1);
-  EXPECT_FALSE(s.contains(key));
+  EXPECT_FALSE(has_chunk(s, key));
 
   // Content addressing: same bytes, same key, fresh chunk.
   EXPECT_EQ(s.put_file(src), key);
@@ -355,7 +328,7 @@ TEST(Store, GetFileCorruptChunkLeavesExistingDestUntouched) {
 
 TEST(Store, StaleTempFileFromCrashedWriteIsIgnoredAcrossReopen) {
   // Crash-mid-put leaves a *.tmp residue next to the chunks. It must never
-  // be indexed, served, or break a reopen.
+  // be counted, served, or break a reopen.
   const std::string dir = fresh_dir("stale_tmp");
   std::uint64_t key = 0;
   const std::string payload("surviving artifact");
@@ -370,8 +343,8 @@ TEST(Store, StaleTempFileFromCrashedWriteIsIgnoredAcrossReopen) {
     tmp.write("PDNC\x01", 5);
   }
   store::Store reopened(dir);
-  EXPECT_EQ(reopened.size(), 1u);
-  EXPECT_TRUE(reopened.contains(key));
+  EXPECT_EQ(chunk_count(reopened), 1u);
+  EXPECT_TRUE(has_chunk(reopened, key));
   const std::string dest = testing::TempDir() + "/pdnn_store_tmp_dest";
   ASSERT_TRUE(reopened.get_file(key, dest));
   std::string fetched;

@@ -287,6 +287,23 @@ TEST(Cli, DoubleListChecksEveryItem) {
   }
 }
 
+TEST(Cli, ListRejectsEmptyItems) {
+  const std::vector<std::string> designs =
+      parsed_with("designs", "D1,D3").get_list("designs");
+  ASSERT_EQ(designs.size(), 2u);
+  EXPECT_EQ(designs[0], "D1");
+  EXPECT_EQ(designs[1], "D3");
+  EXPECT_EQ(parsed_with("designs", "D2").get_list("designs"),
+            std::vector<std::string>{"D2"});
+  for (const char* bad : {"", "D1,,D2", ",D1", "D1,"}) {
+    const util::ArgParser args = parsed_with("designs", bad);
+    expect_flag_error([&] { return args.get_list("designs"); }, "designs",
+                      bad);
+    expect_flag_error([&] { return args.get_double_list("designs"); },
+                      "designs", bad);
+  }
+}
+
 TEST(Io, CsvWritesAllCells) {
   util::MapF g(2, 2);
   g(0, 0) = 1.0f;
